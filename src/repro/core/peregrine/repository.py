@@ -244,12 +244,15 @@ class DayChunk:
     Everything a day needs travels together — columns, unique plans,
     the signature pool, parameter pool, and sparse dependency map — so
     a chunk spills to disk and reloads as one self-contained pickle.
+    Chunks only ever grow by appending rows, so ``(day, n)`` names
+    exactly one content; :class:`JobTable` relies on that to write each
+    version of a day to disk at most once.
     """
 
     __slots__ = (
         "day", "job_ids", "submit_hours", "plan_codes", "param_codes",
         "plans", "plan_templates", "plan_stricts", "plan_sig_codes",
-        "sig_names", "sig_sizes", "params_pool", "deps_map", "dirty",
+        "sig_names", "sig_sizes", "params_pool", "deps_map",
         "_sig_index", "_filtered_cache", "_sig_bytes", "_nbytes_cache",
     )
 
@@ -267,7 +270,6 @@ class DayChunk:
         self.sig_sizes: list[int] = []
         self.params_pool: list[dict] = []
         self.deps_map: dict[int, tuple[str, ...]] = {}
-        self.dirty = True
         self._sig_index: dict[str, int] | None = {}
         self._filtered_cache: dict[int, list[np.ndarray]] = {}
         self._sig_bytes: np.ndarray | None = None
@@ -297,7 +299,6 @@ class DayChunk:
         return codes
 
     def _invalidate(self) -> None:
-        self.dirty = True
         self._filtered_cache = {}
         self._sig_bytes = None
         self._nbytes_cache = None
@@ -506,7 +507,6 @@ class DayChunk:
         self.params_pool = state["params_pool"]
         self.deps_map = state["deps_map"]
         self._sig_index = None
-        self.dirty = False
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +526,12 @@ class JobTable:
     Per-day uint64 id-hash indexes (12 bytes/job) stay resident even
     for spilled days, so duplicate detection and ``job()`` lookups
     never page a chunk back in unless they actually hit.
+
+    Every file in ``spill_dir`` is write-once: a chunk is written as
+    ``day-DDDDD-ROWS.chunk``, and since chunks only grow by appending,
+    that name denotes one content forever.  A pickle with a spill
+    directory is therefore a manifest (see :meth:`__getstate__`) that
+    stays valid however far the live table runs on.
     """
 
     def __init__(
@@ -536,7 +542,8 @@ class JobTable:
         self.memory_budget_bytes = memory_budget_bytes
         self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.chunks: dict[int, DayChunk] = {}     # hot, LRU order
-        self.chunk_files: dict[int, str] = {}     # spilled day -> file name
+        self.chunk_files: dict[int, str] = {}     # day -> newest chunk file
+        self.index_files: dict[int, str] = {}     # closed day -> index file
         self.day_counts: dict[int, int] = {}      # every day ever seen
         self.day_order: list[int] = []            # first-appearance order
         self.closed_index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -569,8 +576,7 @@ class JobTable:
         name = self.chunk_files.get(day)
         if name is None:
             raise KeyError(day)
-        with (self.spill_dir / name).open("rb") as fh:
-            chunk = pickle.load(fh)
+        chunk = self._read_pickle(name)
         self.loads += 1
         self.chunks[day] = chunk
         self._enforce_budget()
@@ -590,6 +596,7 @@ class JobTable:
             self.open_day = day
             self._open_map = {}
             self._open_segments = [self.closed_index.pop(day)]
+            self.index_files.pop(day, None)
             self._global_index = None
             self.reopened = True
         else:
@@ -800,18 +807,8 @@ class JobTable:
         return sum(chunk.nbytes() for chunk in self.chunks.values())
 
     def _spill_chunk(self, day: int) -> None:
-        chunk = self.chunks[day]
-        name = f"day-{day:05d}.chunk"
-        if chunk.dirty or day not in self.chunk_files:
-            path = self.spill_dir / name
-            self.spill_dir.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".tmp")
-            with tmp.open("wb") as fh:
-                pickle.dump(chunk, fh, protocol=4)
-            tmp.replace(path)
-            chunk.dirty = False
+        if self._write_chunk(day):
             self.spills += 1
-        self.chunk_files[day] = name
         del self.chunks[day]
 
     def _enforce_budget(self) -> None:
@@ -826,20 +823,52 @@ class JobTable:
             self._spill_chunk(victim)
 
     def flush(self) -> None:
-        """Write every dirty hot chunk to the spill dir (keeps them hot)."""
+        """Write each hot chunk's version not yet on disk (keeps them hot)."""
         if self.spill_dir is None:
             return
-        for day, chunk in self.chunks.items():
-            if chunk.dirty or day not in self.chunk_files:
-                name = f"day-{day:05d}.chunk"
-                path = self.spill_dir / name
-                self.spill_dir.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_name(path.name + ".tmp")
-                with tmp.open("wb") as fh:
-                    pickle.dump(chunk, fh, protocol=4)
-                tmp.replace(path)
-                chunk.dirty = False
-                self.chunk_files[day] = name
+        for day in self.chunks:
+            self._write_chunk(day)
+
+    # -- write-once files ----------------------------------------------------
+    def _write_file(self, name: str, dump) -> str:
+        """Atomically create ``spill_dir/name`` with ``dump(fh)``."""
+        path = self.spill_dir / name
+        self.spill_dir.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(name + ".tmp")
+        with tmp.open("wb") as fh:
+            dump(fh)
+        tmp.replace(path)
+        return name
+
+    def _write_chunk(self, day: int) -> bool:
+        """Write ``day``'s chunk unless this version is already on disk."""
+        chunk = self.chunks[day]
+        name = f"day-{day:05d}-{chunk.n}.chunk"
+        if self.chunk_files.get(day) == name:
+            return False
+        self.chunk_files[day] = self._write_file(
+            name, lambda fh: pickle.dump(chunk, fh, protocol=4)
+        )
+        return True
+
+    def _read_pickle(self, name: str):
+        with (self.spill_dir / name).open("rb") as fh:
+            return pickle.load(fh)
+
+    def _index_file(self, day: int) -> str:
+        """The closed day's id index as a file, written on first need."""
+        name = f"day-{day:05d}-{self.day_counts[day]}.index.npy"
+        if self.index_files.get(day) != name:
+            hashes, rows = self.closed_index[day]
+            pair = np.stack([hashes, rows.astype(np.uint64)])
+            self.index_files[day] = self._write_file(
+                name, lambda fh: np.save(fh, pair)
+            )
+        return name
+
+    def _load_index(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        pair = np.load(self.spill_dir / name)
+        return pair[0], pair[1].astype(np.uint32)
 
     # -- iteration -----------------------------------------------------------
     def iter_id_deps(self):
@@ -867,25 +896,25 @@ class JobTable:
         state = {
             name: getattr(self, name)
             for name in (
-                "memory_budget_bytes", "day_counts", "day_order",
-                "closed_index", "open_day", "_open_map", "_open_segments",
-                "reopened", "n_jobs", "spills", "loads", "chunk_files",
+                "memory_budget_bytes", "day_counts", "day_order", "open_day",
+                "_open_map", "_open_segments", "reopened", "n_jobs",
+                "spills", "loads",
             )
         }
         state["spill_dir"] = str(self.spill_dir) if self.spill_dir else None
         if self.spill_dir is not None:
-            # Manifest mode: chunks live as spill files; the pickle
-            # carries only their names (plus the open day inline so a
-            # restore never depends on a mid-day flush).
+            # Manifest mode, O(one day): the pickle names write-once
+            # files — each hot chunk at its current size (the open day
+            # included) and each closed day's id index — and carries
+            # only the open day's id segments inline.
             self.flush()
-            state["inline_chunks"] = {
-                day: chunk
-                for day, chunk in self.chunks.items()
-                if day == self.open_day
+            state["chunk_files"] = self.chunk_files
+            state["index_files"] = {
+                day: self._index_file(day) for day in self.closed_index
             }
         else:
-            state["inline_chunks"] = dict(self.chunks)
-            state["chunk_files"] = {}
+            state["closed_index"] = self.closed_index
+            state["chunks"] = dict(self.chunks)
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -894,15 +923,25 @@ class JobTable:
             spill_dir=state["spill_dir"],
         )
         for name in (
-            "day_counts", "day_order", "closed_index", "open_day",
-            "_open_map", "_open_segments", "reopened", "n_jobs",
-            "spills", "loads", "chunk_files",
+            "day_counts", "day_order", "open_day", "_open_map",
+            "_open_segments", "reopened", "n_jobs", "spills", "loads",
         ):
             setattr(self, name, state[name])
-        self.chunks = dict(state["inline_chunks"])
-        for chunk in self.chunks.values():
-            if self.spill_dir is None:
-                chunk.dirty = True
+        if self.spill_dir is None:
+            self.closed_index = state["closed_index"]
+            self.chunks = state["chunks"]
+            return
+        self.chunk_files = state["chunk_files"]
+        self.index_files = state["index_files"]
+        self.closed_index = {
+            day: self._load_index(name)
+            for day, name in self.index_files.items()
+        }
+        if self.open_day is not None:
+            # The open day reloads hot, as it was when pickled.
+            self.chunks[self.open_day] = self._read_pickle(
+                self.chunk_files[self.open_day]
+            )
 
 
 class _RecordsView:
@@ -951,7 +990,8 @@ class WorkloadRepository:
     Default construction is fully in-memory and behaviourally identical
     to the historical list-based repository.  Passing
     ``memory_budget_bytes`` + ``spill_dir`` bounds resident memory: cold
-    day chunks spill to disk and reload transparently on access.
+    day chunks spill to disk and reload transparently on access, and a
+    pickle becomes an O(one day) manifest of write-once spill files.
     """
 
     def __init__(
@@ -962,6 +1002,11 @@ class WorkloadRepository:
         self._table = JobTable(memory_budget_bytes, spill_dir)
         # sig -> [set of days, instance count], first-sighting order.
         self._template_stats: dict[str, list] = {}
+        # The open day's share of it since the day (re)opened: sig ->
+        # instances.  With a spill dir each closed share is written,
+        # with the day's sharing summaries, to a write-once facts file.
+        self._open_templates: dict[str, int] = {}
+        self._fact_files: list[str] = []
         self._day_summaries: dict[tuple[int, int], tuple[int, tuple]] = {}
         self._closed_involved: dict[int, int] = {}
         self._dep_fallback = False
@@ -983,8 +1028,36 @@ class WorkloadRepository:
         if previous is not None and previous != day:
             self._resolve_involved(previous, closing=True)
             self._table.close_day(previous)
+            self._write_facts(previous)
+
+    def _write_facts(self, day: int) -> None:
+        """Persist the closed segment's template counts and summaries.
+
+        A segment that added rows ends at a row count no other segment
+        of the day ends at, so its file name is never reused.
+        """
+        templates, self._open_templates = self._open_templates, {}
+        if self._table.spill_dir is None or not templates:
+            return
+        facts = (
+            day,
+            templates,
+            {k: v for k, v in self._day_summaries.items() if k[0] == day},
+        )
+        name = f"day-{day:05d}-{self._table.day_counts[day]}.facts"
+        self._fact_files.append(
+            self._table._write_file(
+                name, lambda fh: pickle.dump(facts, fh, protocol=4)
+            )
+        )
 
     def _track_templates(self, template: str, day: int, count: int) -> None:
+        self._open_templates[template] = (
+            self._open_templates.get(template, 0) + count
+        )
+        self._fold_template(template, day, count)
+
+    def _fold_template(self, template: str, day: int, count: int) -> None:
         stat = self._template_stats.get(template)
         if stat is None:
             self._template_stats[template] = [{day}, count]
@@ -1285,7 +1358,7 @@ class WorkloadRepository:
         return self._table.spill_dir
 
     def flush(self) -> None:
-        """Spill every dirty chunk so the on-disk manifest is complete."""
+        """Write each hot chunk's current version if not on disk yet."""
         self._table.flush()
 
     def chunk_stats(self) -> dict:
@@ -1298,8 +1371,29 @@ class WorkloadRepository:
         # The whole-history sig block is derived and can be tens of MB;
         # checkpoints rebuild it lazily on the first analyze.
         state["_sig_table_cache"] = {}
+        if self._table.spill_dir is not None:
+            # Closed days live in the facts files: only the open day's
+            # template counts and summaries travel inline.  A closed
+            # day's summary computed after its facts were written is
+            # recomputed on demand.
+            open_day = self._table.open_day
+            state["_template_stats"] = None
+            state["_day_summaries"] = {
+                k: v for k, v in self._day_summaries.items() if k[0] == open_day
+            }
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.__dict__.setdefault("_sig_table_cache", {})
+        if self._template_stats is None:
+            inline_summaries = self._day_summaries
+            self._template_stats, self._day_summaries = {}, {}
+            for name in self._fact_files:
+                day, templates, summaries = self._table._read_pickle(name)
+                for template, count in templates.items():
+                    self._fold_template(template, day, count)
+                self._day_summaries.update(summaries)
+            for template, count in self._open_templates.items():
+                self._fold_template(template, self._table.open_day, count)
+            self._day_summaries.update(inline_summaries)

@@ -273,7 +273,10 @@ class CheckpointStore:
     pickle.  :meth:`load` reads either format from a file or a store
     directory.  ``path`` may be a directory (the chain lives at
     ``<path>/fabric.ckpt`` with ``schedule.json`` beside it) or a file
-    (the sidecar gains a ``.schedule.json`` suffix).
+    (the sidecar gains a ``.schedule.json`` suffix).  A ``@2`` store
+    continues an existing chain; if the file there is not a readable
+    chain (a ``@1`` pickle, a torn write), saving raises ``ValueError``
+    naming it instead of replacing it.
     """
 
     def __init__(self, path, version: int = 2) -> None:
@@ -284,6 +287,8 @@ class CheckpointStore:
         self._seq = 0
         self._has_base = False
         self._hashes: dict[str, str] = {}
+        #: why the existing file cannot be continued (set by _adopt_chain)
+        self._unreadable: str | None = None
         if self.path.exists() and self.path.stat().st_size > 0:
             self._adopt_chain()
 
@@ -306,8 +311,9 @@ class CheckpointStore:
         """Continue an existing chain: pick up seq/hashes from its frames."""
         try:
             frames = self.frames()
-        except (pickle.UnpicklingError, EOFError, ValueError):
-            return  # a @1 file or corrupt chain: save() will refuse below
+        except ValueError as exc:  # a @1 file, a torn chain, garbage
+            self._unreadable = f"{exc}; refusing to overwrite it"
+            return
         for frame in frames:
             self._seq = frame["seq"] + 1
             if frame["kind"] == "base":
@@ -325,6 +331,13 @@ class CheckpointStore:
                     frame = pickle.load(fh)
                 except EOFError:
                     break
+                except Exception as exc:
+                    # A torn or corrupt frame: unpickling damaged bytes
+                    # can fail with almost any error type.
+                    raise ValueError(
+                        f"{self.path}: unreadable frame after"
+                        f" {len(frames)} good ones ({exc})"
+                    ) from exc
                 if not isinstance(frame, dict) or frame.get("format") != FORMAT_V2:
                     raise ValueError(
                         f"{self.path} is not a {FORMAT_V2} chain"
@@ -371,7 +384,10 @@ class CheckpointStore:
         if len(frames) <= 1:
             return 0
         plane = self._restore_v2()
-        staging = CheckpointStore(self.path.with_name(self.path.name + ".tmp"))
+        staging_path = self.path.with_name(self.path.name + ".tmp")
+        # A compaction killed mid-write leaves its staging file behind.
+        staging_path.unlink(missing_ok=True)
+        staging = CheckpointStore(staging_path)
         staging._seq = frames[-1]["seq"]
         staging.snapshot(plane)
         staging.schedule_path.replace(self.schedule_path)
@@ -382,6 +398,8 @@ class CheckpointStore:
         return len(frames) - 1
 
     def _append_frame(self, plane: "ControlPlane", kind: str) -> SaveResult:
+        if self._unreadable is not None:
+            raise ValueError(self._unreadable)
         obs = plane._obs
         plane.bind(None)
         try:

@@ -156,6 +156,32 @@ class TestPickling:
             analyze(reference)
         )
 
+    def test_manifest_pickles_reference_write_once_files(
+        self, workload, tmp_path
+    ):
+        # Pickles taken mid-day, after a close, and after a reopen each
+        # name the files of that moment; later ingest never rewrites a
+        # file an older pickle names.
+        day0 = list(workload.by_day(0))
+        steps = [day0[:10], day0[10:20], list(workload.by_day(1)), day0[20:]]
+        repo = WorkloadRepository(
+            memory_budget_bytes=1, spill_dir=tmp_path / "chunks"
+        )
+        blobs = []
+        for step in steps:
+            repo.ingest_batch(step)
+            blobs.append(pickle.dumps(repo))
+        for n_steps, blob in enumerate(blobs, start=1):
+            clone = pickle.loads(blob)
+            twin = WorkloadRepository()
+            for step in steps[:n_steps]:
+                twin.ingest_batch(step)
+            assert list(clone.records) == list(twin.records)
+            assert clone.template_stats() == twin.template_stats()
+            assert dataclasses.asdict(analyze(clone)) == dataclasses.asdict(
+                analyze(twin)
+            )
+
 
 class TestRepositoryViews:
     def test_records_view_indexing(self, workload, reference):

@@ -8,6 +8,7 @@ across a restore.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -141,6 +142,122 @@ class TestCompaction:
         store.save(plane)
         assert store.compact() == 0
         assert len(store.frames()) == 1
+
+
+class TestUnreadableChain:
+    """An existing file a @2 store cannot continue is never replaced."""
+
+    def _plane(self) -> ControlPlane:
+        plane = ControlPlane()
+        plane.register(RecordingDriver())
+        plane.run_days(1)
+        return plane
+
+    def test_v2_store_refuses_a_v1_file(self, tmp_path):
+        path = tmp_path / "legacy.ckpt"
+        CheckpointStore(path, version=1).save(self._plane())
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="legacy.ckpt"):
+            CheckpointStore(path).save(self._plane())
+        assert path.read_bytes() == before
+        assert CheckpointStore.load(path).day == 1
+
+    def test_torn_chain_is_not_replaced(self, tmp_path):
+        plane = self._plane()
+        store = CheckpointStore(tmp_path / "store")
+        store.save(plane)
+        plane.run_days(1)
+        store.save(plane)
+        torn = store.path.read_bytes()[:-7]  # the last frame, cut short
+        store.path.write_bytes(torn)
+        with pytest.raises(ValueError, match="fabric.ckpt"):
+            CheckpointStore(tmp_path / "store").save(plane)
+        assert store.path.read_bytes() == torn
+
+    def test_compact_discards_a_stale_staging_file(self, tmp_path):
+        plane = self._plane()
+        store = CheckpointStore(tmp_path / "store")
+        for _ in range(3):
+            store.save(plane)
+            plane.run_days(1)
+        # A compaction killed mid-write left garbage behind.
+        staging = store.path.with_name(store.path.name + ".tmp")
+        staging.write_bytes(b"not a chain")
+        assert store.compact() == 2
+        assert not staging.exists()
+        assert [f["kind"] for f in store.frames()] == ["base"]
+        assert CheckpointStore.load(tmp_path / "store").day == 3
+
+
+def _spilling_fleet(spill_dir, days: int, include=("peregrine", "steering")):
+    from repro.fabric import FleetConfig, build_fleet
+
+    plane = ControlPlane()
+    build_fleet(
+        plane,
+        FleetConfig(
+            days=days,
+            jobs_per_day=600,
+            include=include,
+            streaming=True,
+            repo_memory_budget_mb=1,
+            repo_spill_dir=str(spill_dir),
+            overlap_prefetch=False,
+        ),
+    )
+    return plane
+
+
+class TestSpillingResume:
+    """Peregrine's blob names write-once spill files; resume holds."""
+
+    def test_restore_survives_the_live_fleet_running_on(self, tmp_path):
+        straight = _spilling_fleet(tmp_path / "straight", days=6)
+        straight.run_days(6)
+        expected = straight.report_bytes()
+        straight.close()
+
+        live = _spilling_fleet(tmp_path / "chunks", days=6)
+        store = CheckpointStore(tmp_path / "store")
+        live.attach_store(store)
+        live.run_days(4)
+        store.save(live)  # the frame after run_days advanced the day
+        repo = live._binding_for("peregrine").driver.repo
+        assert repo.chunk_stats()["hot_chunks"] < 4  # closed days evicted
+        at_day_4 = live.report_bytes()
+        restored = CheckpointStore.load(tmp_path / "store")
+        assert restored.report_bytes() == at_day_4
+        restored.close()
+
+        # The live fleet runs on over the same spill dir; the day-4
+        # chain copy must still restore — and resume — exactly.
+        shutil.copytree(tmp_path / "store", tmp_path / "day4")
+        live.run_days(2)
+        assert live.report_bytes() == expected
+        live.close()
+        restored = CheckpointStore.load(tmp_path / "day4")
+        assert restored.report_bytes() == at_day_4
+        restored.run_days(2)
+        assert restored.report_bytes() == expected
+        restored.close()
+
+
+class TestDeltaSize:
+    def test_peregrine_delta_blob_is_flat_in_history(self, tmp_path):
+        # At constant jobs/day, a delta carries one day of Peregrine
+        # state however many days the repository already holds.
+        plane = _spilling_fleet(
+            tmp_path / "chunks", days=13, include=("peregrine",)
+        )
+        store = CheckpointStore(tmp_path / "store")
+        plane.attach_store(store)
+        plane.run_days(13)
+        plane.close()
+        # Peregrine is the only service and ingests daily: frame d is
+        # written by day d's tick.
+        blob = [len(f["services"]["peregrine"]) for f in store.frames()]
+        assert len(blob) == 13
+        assert blob[12] <= 1.25 * blob[3]
 
 
 class TestDurableSchedule:
