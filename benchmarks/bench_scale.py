@@ -29,9 +29,9 @@ data path holds up at that scale and writes the numbers to
    not creep with history length).
 4. **tick_1m** (full runs only) — the real fleet at a million jobs a
    day: the in-process equivalent of ``repro fabric --days 3
-   --jobs-per-day 1000000`` (core fleet, streaming source, overlap
-   prefetch on the persistent pool), wall time and RSS per day, with
-   the same flat-RSS gate.
+   --jobs-per-day 1000000 --memory-budget-mb 256`` (core fleet, with
+   next-day prefetch on the persistent pool switched on), wall time and
+   RSS per day, with the same flat-RSS gate.
 
 Run standalone (not under pytest)::
 
@@ -310,9 +310,10 @@ def bench_tick_1m(n_days: int = 3, jobs_per_day: int = 1_000_000) -> dict:
     """The whole fleet at a million jobs a day, one day at a time.
 
     In-process equivalent of ``repro fabric --days 3 --jobs-per-day
-    1000000``: core fleet on the control plane, streaming source with
-    overlap prefetch, 256 MB chunk budget spilling to scratch.  Gated
-    on the same RSS flatness as ``scale_ticks``.
+    1000000 --memory-budget-mb 256``: core fleet on the control plane,
+    256 MB chunk budget spilling to scratch, plus next-day prefetch on
+    the worker pool.  Gated on the same RSS flatness as
+    ``scale_ticks``.
     """
     from repro.fabric import ControlPlane, FleetConfig, build_fleet
 
@@ -324,6 +325,7 @@ def bench_tick_1m(n_days: int = 3, jobs_per_day: int = 1_000_000) -> dict:
             jobs_per_day=jobs_per_day,
             repo_memory_budget_mb=256,
             repo_spill_dir=spill,
+            overlap_prefetch=True,
         )
         with ControlPlane() as plane:
             build_fleet(plane, config)
@@ -341,24 +343,12 @@ def bench_tick_1m(n_days: int = 3, jobs_per_day: int = 1_000_000) -> dict:
                     }
                 )
             wall_seconds = time.perf_counter() - t_start
-            source = next(
-                (
-                    b.driver.jobs_by_day
-                    for b in plane.bindings
-                    if hasattr(b.driver, "jobs_by_day")
-                    and hasattr(b.driver.jobs_by_day, "prefetch_hits")
-                ),
-                None,
-            )
-            prefetch = (
-                {
-                    "overlap_enabled": source.overlap_enabled(),
-                    "prefetch_hits": source.prefetch_hits,
-                    "prefetch_misses": source.prefetch_misses,
-                }
-                if source is not None
-                else None
-            )
+            source = plane._binding_for("peregrine").driver.jobs_by_day
+            prefetch = {
+                "overlap": source.overlap,
+                "prefetch_hits": source.prefetch_hits,
+                "prefetch_misses": source.prefetch_misses,
+            }
     baseline_at = max(0, len(days) - 2)
     baseline = days[baseline_at]["rss_mb"]
     final = days[-1]["rss_mb"]
@@ -366,6 +356,7 @@ def bench_tick_1m(n_days: int = 3, jobs_per_day: int = 1_000_000) -> dict:
         "command": (
             f"PYTHONPATH=src python -m repro.cli fabric"
             f" --days {n_days} --jobs-per-day {jobs_per_day}"
+            " --memory-budget-mb 256"
         ),
         "n_days": n_days,
         "jobs_per_day": jobs_per_day,

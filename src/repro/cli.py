@@ -359,9 +359,12 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
             repo_memory_budget_mb=args.memory_budget_mb,
             repo_spill_dir=args.spill_dir,
         )
-        if config.resolve_streaming() and config.repo_spill_dir is None:
-            # Streaming scale needs somewhere to spill cold day chunks:
-            # colocate with the store if one is attached, else scratch.
+        if config.repo_spill_dir is None and (
+            args.store or args.memory_budget_mb
+        ):
+            # Somewhere for Peregrine's day files: colocate with the
+            # store if one is attached (its checkpoints reference them),
+            # else scratch for the budget to spill into.
             import tempfile
             from pathlib import Path
 
@@ -374,8 +377,6 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
                     prefix="repro-chunks-"
                 )
                 scratch_spill_dir = config.repo_spill_dir
-            if config.repo_memory_budget_mb is None:
-                config.repo_memory_budget_mb = 256
         build_fleet(plane, config)
         if args.list:
             print(f"{'service':<12} {'layer':<8} {'cadence':>8}  stages")
@@ -654,15 +655,16 @@ def build_parser() -> argparse.ArgumentParser:
     fabric.add_argument("--seed", type=int, default=0)
     fabric.add_argument(
         "--jobs-per-day", type=int, default=8,
-        help="SCOPE jobs per day; >= 1000 switches to streaming worlds",
+        help="SCOPE jobs per day (the world is sized to match)",
     )
     fabric.add_argument(
         "--memory-budget-mb", type=int, default=None,
-        help="repository chunk-cache budget (streaming default: 256)",
+        help="repository chunk-cache budget; cold days spill past it",
     )
     fabric.add_argument(
         "--spill-dir", default=None,
-        help="directory for cold day chunks (default: store dir or scratch)",
+        help="directory for Peregrine day files (default with --store or"
+        " --memory-budget-mb: under the store, else scratch)",
     )
     fabric.add_argument(
         "--workers", type=int, default=1,

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.core.service import AutonomousService, deprecated_alias
+from repro.core.service import AutonomousService
 from repro.ml import HoltWinters
 from repro.workloads.usage import HOURS_PER_DAY, TenantTrace
 
@@ -229,8 +229,3 @@ class SeagullService(AutonomousService):
 
     def report(self) -> SeagullReport:
         return SeagullReport(choices=list(self._choices), tolerance=self.tolerance)
-
-    # -- deprecated entry points -----------------------------------------------
-    @deprecated_alias("recommend")
-    def choose(self, server_id: str, day: int) -> WindowChoice:
-        return self.recommend(server_id, day)

@@ -25,18 +25,15 @@ ticked and queried flows cannot drift apart.
 
 Services bind to an :class:`~repro.obs.runtime.ObservabilityRuntime`
 with :meth:`AutonomousService.bind`; unbound services run with zero
-instrumentation overhead.  Old entry points remain as thin aliases that
-raise :class:`DeprecationWarning` via :func:`deprecated_alias`.
+instrumentation overhead.
 """
 
 from __future__ import annotations
 
 import abc
-import functools
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:
     from repro.obs.runtime import ObservabilityRuntime
@@ -211,30 +208,3 @@ class AutonomousService(abc.ABC):
     @abc.abstractmethod
     def report(self):
         """Return the accumulated report (``to_events()``-bearing)."""
-
-
-def deprecated_alias(replacement: str) -> Callable:
-    """Mark an old entry point as a deprecated alias of ``replacement``.
-
-    ::
-
-        @deprecated_alias("observe")
-        def process(self, job_id, plan):
-            return self.observe(job_id, plan)
-    """
-
-    def decorator(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            warnings.warn(
-                f"{type(self).__name__}.{fn.__name__}() is deprecated; "
-                f"use {type(self).__name__}.{replacement}() instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return fn(self, *args, **kwargs)
-
-        wrapper.__deprecated_for__ = replacement
-        return wrapper
-
-    return decorator

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.service import AutonomousService, deprecated_alias
+from repro.core.service import AutonomousService
 from repro.engine import (
     ALL_RULES,
     Expression,
@@ -280,15 +280,6 @@ class SteeringService(AutonomousService):
         through ``params``.
         """
         return self.observe(request.params["job_id"], request.subject)
-
-    # -- deprecated entry points -----------------------------------------------
-    @deprecated_alias("recommend")
-    def config_for(self, template: str) -> RuleConfig:
-        return self.recommend(template)
-
-    @deprecated_alias("observe")
-    def process(self, job_id: str, plan: Expression) -> SteeringOutcome:
-        return self.observe(job_id, plan)
 
     # -- internals -------------------------------------------------------------
     def _state(self, template: str) -> _TemplateState:

@@ -8,13 +8,6 @@ registry, one retry/degrade failure story, one checkpoint format, one
 telemetry substrate.
 """
 
-from repro.fabric.checkpoint import (
-    CHECKPOINT_FORMAT,
-    checkpoint_bytes,
-    load_checkpoint,
-    restore_from_bytes,
-    save_checkpoint,
-)
 from repro.fabric.chaos import ChaosResult, run_chaos
 from repro.fabric.faults import (
     FaultInjector,
@@ -50,11 +43,7 @@ from repro.fabric.store import (
     RetryState,
     ScheduleRecord,
 )
-from repro.fabric.streams import (
-    STREAMING_THRESHOLD,
-    JobPairsView,
-    StreamingJobSource,
-)
+from repro.fabric.streams import JobPairsView, StreamingJobSource
 
 __all__ = [
     "STAGES",
@@ -80,17 +69,10 @@ __all__ = [
     "FORMAT_V2",
     "ChaosResult",
     "run_chaos",
-    # deprecated module-function checkpoint API (one release of shims)
-    "CHECKPOINT_FORMAT",
-    "checkpoint_bytes",
-    "save_checkpoint",
-    "load_checkpoint",
-    "restore_from_bytes",
     "FleetConfig",
     "CORE_FLEET",
     "FULL_FLEET",
     "build_fleet",
     "StreamingJobSource",
     "JobPairsView",
-    "STREAMING_THRESHOLD",
 ]

@@ -168,16 +168,16 @@ class CloudViewsDriver(PipelineDriver):
 
 
 class PeregrineDriver(PipelineDriver):
-    """Grow the shared workload repository; re-analyze as it grows."""
+    """Grow the shared workload repository; re-analyze as it grows.
+
+    ``jobs_by_day`` is the fleet's
+    :class:`~repro.fabric.streams.StreamingJobSource`.
+    """
 
     name = "peregrine"
     layer = "engine"
     dirty_aware = True
     frozen_attrs = ("jobs_by_day",)
-
-    #: day sizes at/above which ingestion goes through the columnar
-    #: batch path (identical results, ~50x the per-job throughput).
-    BATCH_THRESHOLD = 256
 
     def __init__(
         self,
@@ -199,25 +199,12 @@ class PeregrineDriver(PipelineDriver):
         self.stats: dict = {}
 
     def observe(self, ctx: TickContext) -> None:
-        day_batch = getattr(self.jobs_by_day, "day_batch", None)
-        if day_batch is not None:
-            # Streaming source: the day arrives as one fused columnar
-            # batch (possibly prefetched on the worker pool while the
-            # previous day's services ran) — no per-job list, and
-            # bit-identical to the record-path ingest.
-            batch = day_batch(ctx.day)
-            if batch is not None and len(batch):
-                self.mark_dirty()
-                self.repo.ingest_batch(batch)
-            return
-        jobs = self.jobs_by_day.get(ctx.day, [])
-        if jobs:
+        # The day arrives as one columnar batch (possibly prefetched on
+        # the worker pool while the previous day's services ran).
+        batch = self.jobs_by_day.day_batch(ctx.day)
+        if batch is not None and len(batch):
             self.mark_dirty()
-        if len(jobs) >= self.BATCH_THRESHOLD:
-            self.repo.ingest_batch(list(jobs))
-            return
-        for job in jobs:
-            self.repo.ingest_job(job)
+            self.repo.ingest_batch(batch)
 
     def learn(self, ctx: TickContext) -> None:
         from repro.core.peregrine import analyze
@@ -728,83 +715,53 @@ class FleetConfig:
     autotune_apps: int = 16
     joint_jobs: int = 3
     feedback_steps_per_day: int = 40
-    #: None = stream iff jobs_per_day >= STREAMING_THRESHOLD.
-    streaming: bool | None = None
-    #: head of each day the plan-facing services sample when streaming.
+    #: head of each day the plan-facing services (steering, CloudViews)
+    #: sample; the repository ingests all ``jobs_per_day``.
     service_jobs_per_day: int = 64
-    #: repository memory budget + spill target (streaming scale only).
+    #: repository memory budget + spill target.
     repo_memory_budget_mb: int | None = None
     repo_spill_dir: str | None = None
-    #: None = prefetch day d+1 on the worker pool iff it can overlap
-    #: (multi-core and the parallel substrate resolves to > 1 worker).
-    overlap_prefetch: bool | None = None
+    #: prefetch day d+1 on the worker pool while day d's services run.
+    overlap_prefetch: bool = False
 
     def __post_init__(self) -> None:
         unknown = set(self.include) - set(FULL_FLEET)
         if unknown:
             raise ValueError(f"unknown fleet services: {sorted(unknown)}")
 
-    def resolve_streaming(self) -> bool:
-        from repro.fabric.streams import STREAMING_THRESHOLD
-
-        if self.streaming is not None:
-            return self.streaming
-        return self.jobs_per_day >= STREAMING_THRESHOLD
-
 
 def build_fleet(plane, config: FleetConfig | None = None):
     """Register the standard multi-service scenario onto ``plane``.
 
-    Builds the shared worlds (SCOPE workload, usage population,
-    customer population) once, slices them into daily arrivals, and
-    registers one driver per included service.  Returns the plane.
+    Builds the shared worlds (one streaming SCOPE job feed, usage
+    population, customer population) once, slices them into daily
+    arrivals, and registers one driver per included service.  Returns
+    the plane.
     """
     config = config or FleetConfig()
     include = set(config.include)
 
-    if include & {"steering", "cloudviews", "peregrine", "joint"}:
+    if include & {"steering", "cloudviews", "peregrine"}:
         from repro.engine import (
             DefaultCardinalityEstimator,
             DefaultCostModel,
             Optimizer,
             TrueCardinalityModel,
         )
-        from repro.workloads import ScopeWorkloadGenerator
+        from repro.fabric.streams import StreamingJobSource
 
-        streaming = config.resolve_streaming()
-        if streaming:
-            # Million-job worlds: days come off the seeded stream as
-            # the plane ticks; nothing beyond the current day is ever
-            # materialized.  Plan-facing services sample each day's
-            # head; the repository ingests the full stream columnar.
-            from repro.fabric.streams import StreamingJobSource
-
-            source = StreamingJobSource(
-                config.seed,
-                config.days,
-                config.jobs_per_day,
-                overlap=config.overlap_prefetch,
-            )
-            catalog = source.catalog
-            job_pairs = source.pairs(config.service_jobs_per_day)
-            jobs_by_day = source
-            workload = None
-        else:
-            workload = ScopeWorkloadGenerator(rng=config.seed).generate(
-                n_days=config.days
-            )
-            catalog = workload.catalog
-            job_pairs = {
-                day: [
-                    (j.job_id, j.plan)
-                    for j in workload.by_day(day)[: config.jobs_per_day]
-                ]
-                for day in range(config.days)
-            }
-            jobs_by_day = {
-                day: list(workload.by_day(day)[: config.jobs_per_day])
-                for day in range(config.days)
-            }
+        # Days come off the seeded stream as the plane ticks; nothing
+        # beyond the current day is ever materialized.  Plan-facing
+        # services sample each day's head; the repository ingests the
+        # whole day columnar.
+        source = StreamingJobSource(
+            config.seed,
+            config.days,
+            config.jobs_per_day,
+            overlap=config.overlap_prefetch,
+        )
+        catalog = source.catalog
+        job_pairs = source.pairs(config.service_jobs_per_day)
         truth = TrueCardinalityModel(catalog, seed=config.seed)
         est_cost = DefaultCostModel(
             catalog, DefaultCardinalityEstimator(catalog)
@@ -832,54 +789,51 @@ def build_fleet(plane, config: FleetConfig | None = None):
         if "peregrine" in include:
             plane.register(
                 PeregrineDriver(
-                    jobs_by_day,
+                    source,
                     workers=config.workers,
                     memory_budget_mb=config.repo_memory_budget_mb,
                     spill_dir=config.repo_spill_dir,
                 )
             )
-        if "joint" in include:
-            from repro.core.joint import ParameterGrid, checkpoint_wave_objective
 
-            if workload is None:
-                # Joint tuning needs an eager workload object; at
-                # streaming scale it gets its own small default world
-                # (own catalog — its plans reference its fragments).
-                workload = ScopeWorkloadGenerator(rng=config.seed).generate(
-                    n_days=min(config.days, 7)
-                )
-                joint_truth = TrueCardinalityModel(
-                    workload.catalog, seed=config.seed
-                )
-                world = {
-                    "workload": workload,
-                    "est_cost": DefaultCostModel(
-                        workload.catalog,
-                        DefaultCardinalityEstimator(workload.catalog),
-                    ),
-                    "true_cost": DefaultCostModel(
-                        workload.catalog, joint_truth
-                    ),
-                    "optimizer": Optimizer(workload.catalog),
-                }
-            else:
-                world = {
-                    "workload": workload,
-                    "est_cost": est_cost,
-                    "true_cost": true_cost,
-                    "optimizer": Optimizer(catalog),
-                }
-            plane.register(
-                JointTuningDriver(
-                    checkpoint_wave_objective(world, n_jobs=config.joint_jobs),
-                    ParameterGrid(
-                        {
-                            "max_stage_seconds": (60.0, 30.0, 120.0),
-                            "budget_fraction": (0.1, 0.3, 0.6),
-                        }
-                    ),
-                )
+    if "joint" in include:
+        from repro.core.joint import ParameterGrid, checkpoint_wave_objective
+        from repro.engine import (
+            DefaultCardinalityEstimator,
+            DefaultCostModel,
+            Optimizer,
+            TrueCardinalityModel,
+        )
+        from repro.workloads import ScopeWorkloadGenerator
+
+        # Joint tuning needs an eager workload object: it gets its own
+        # small default world (own catalog — its plans reference its
+        # fragments).
+        workload = ScopeWorkloadGenerator(rng=config.seed).generate(
+            n_days=min(config.days, 7)
+        )
+        catalog = workload.catalog
+        world = {
+            "workload": workload,
+            "est_cost": DefaultCostModel(
+                catalog, DefaultCardinalityEstimator(catalog)
+            ),
+            "true_cost": DefaultCostModel(
+                catalog, TrueCardinalityModel(catalog, seed=config.seed)
+            ),
+            "optimizer": Optimizer(catalog),
+        }
+        plane.register(
+            JointTuningDriver(
+                checkpoint_wave_objective(world, n_jobs=config.joint_jobs),
+                ParameterGrid(
+                    {
+                        "max_stage_seconds": (60.0, 30.0, 120.0),
+                        "budget_fraction": (0.1, 0.3, 0.6),
+                    }
+                ),
             )
+        )
 
     if include & {"moneyball", "seagull"}:
         from repro.workloads import UsagePopulationConfig, generate_population

@@ -1,24 +1,21 @@
-"""Streaming job sources: million-job worlds without the world in RAM.
+"""The fleet's SCOPE workload feed: one seeded stream, one day at a time.
 
-The legacy fleet wiring materializes a full :class:`Workload` and
-slices it into ``jobs_by_day`` dicts.  At 100k+ jobs per day that is
-gigabytes of :class:`~repro.workloads.scope.Job` objects pinned for the
-whole run.  :class:`StreamingJobSource` replaces the dicts with a
-day-addressable view over the seeded generator: a tick generates its
-day on demand (bit-identical to the eager generator at the same seed),
-every driver on the plane shares the one-day cache, and the previous
-day's data is garbage the moment the tick moves on.
+Peregrine's repository and the plan-facing services (steering,
+CloudViews) see the same day of jobs.  :class:`StreamingJobSource` is
+that feed: a day-addressable view over the seeded generator sized by
+``ScopeWorkloadConfig.for_scale(jobs_per_day)``.  A tick generates its
+day on demand, every driver on the plane shares the one-day cache, and
+the previous day's data is garbage the moment the tick moves on, so a
+million-job world never sits in RAM.
 
-Two generation paths share the cache:
+A day is the first ``jobs_per_day`` jobs the generator stamps for it,
+as one :class:`~repro.core.peregrine.repository.JobBatch`.  When the
+whole day fits (every default-sized world does), the batch comes from
+the fused columnar path (:meth:`ScopeWorkloadGenerator.day_batch`) and
+never exists as a job list; a longer day is generated once as jobs and
+its head batched.
 
-- :meth:`StreamingJobSource.day_batch` — the fused columnar path
-  (:meth:`ScopeWorkloadGenerator.day_batch`): one day straight into
-  :class:`~repro.core.peregrine.repository.JobBatch` columns, never a
-  million-element job list.  This is what the fleet consumes.
-- :meth:`StreamingJobSource.day_jobs` — the legacy per-job list, kept
-  for callers that want :class:`Job` objects.
-
-When overlap is enabled, accessing day ``d`` also submits day ``d+1``'s
+With ``overlap=True``, accessing day ``d`` also submits day ``d+1``'s
 generation to the persistent :class:`~repro.parallel.WorkerPool`: the
 worker process replays the generator from the exact per-day RNG state
 the parent hands it, so the prefetched batch is bit-identical to a
@@ -26,58 +23,68 @@ local build, and the returned day-``d+2`` RNG state keeps the parent's
 replay chain seamless.  Futures are process-local and never pickled —
 a checkpoint restored mid-overlap simply regenerates locally.
 
-The source quacks like the dict the drivers already consume
-(``.get(day, default)``), so :class:`SteeringDriver`,
-:class:`CloudViewsDriver`, and :class:`PeregrineDriver` work unchanged;
-:meth:`pairs` wraps it as the head-limited ``(job_id, plan)`` view the
-plan-facing services expect (reading straight off the batch columns).
+:meth:`StreamingJobSource.pairs` wraps the feed as the head-limited
+``(job_id, plan)`` view the plan-facing services sample (reading
+straight off the batch columns).
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
-from repro.parallel import get_pool, resolve_workers
-from repro.workloads.scope import (
-    Job,
-    ScopeWorkloadConfig,
-    ScopeWorkloadGenerator,
-)
+from repro.parallel import get_pool
+from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 if TYPE_CHECKING:
     from repro.core.peregrine.repository import JobBatch
 
-#: jobs/day at or above which :func:`repro.fabric.fleet.build_fleet`
-#: switches from eager worlds to streaming sources.
-STREAMING_THRESHOLD = 1000
+#: Worker-process generator cache: one generator per world, keyed by
+#: what the world is a function of, so catalog/template construction
+#: and the per-day replay states are paid once per worker, not per day.
+_PREFETCH_GENERATORS: dict[tuple[int, int], ScopeWorkloadGenerator] = {}
 
-#: Worker-process generator cache: one generator per world identity,
-#: reused across prefetch tasks so catalog/template construction and
-#: the per-day replay states are paid once per worker, not per day.
-_PREFETCH_GENERATORS: dict[tuple, ScopeWorkloadGenerator] = {}
+
+def _world(seed: int, jobs_per_day: int) -> ScopeWorkloadGenerator:
+    return ScopeWorkloadGenerator(
+        rng=seed, config=ScopeWorkloadConfig.for_scale(jobs_per_day)
+    )
+
+
+def _head_batch(
+    generator: ScopeWorkloadGenerator, day: int, head: int
+) -> "JobBatch":
+    """The first ``head`` jobs of ``day`` as one batch.
+
+    A day that fits takes the fused path; a longer one is generated
+    once and its head batched (the day's length is known up front).
+    """
+    if generator.recurring_per_day + generator.adhoc_per_day <= head:
+        return generator.day_batch(day)
+    from repro.core.peregrine.repository import JobBatch
+
+    return JobBatch.from_jobs(generator.day_jobs(day)[:head])
 
 
 def _prefetch_day(payload: tuple) -> tuple["JobBatch", object]:
     """Worker task: build one day's batch on the warm pool.
 
-    ``payload`` is ``(seed, days, jobs_per_day, config, day, state)``
-    where ``state`` is the parent's cached RNG state at the start of
-    ``day`` (or ``None``, forcing a from-scratch replay).  Returns the
-    batch plus the generator's RNG state at the start of ``day + 1`` so
-    the parent can extend its own replay chain without regenerating.
-    Generation is pure given the seed/config/day, so the result is
-    bit-identical to a parent-local :meth:`day_batch` call.
+    ``payload`` is ``(seed, jobs_per_day, day, state)`` where ``state``
+    is the parent's cached RNG state at the start of ``day`` (or
+    ``None``, forcing a from-scratch replay).  Returns the batch plus
+    the generator's RNG state at the start of ``day + 1`` so the parent
+    can extend its own replay chain without regenerating.  Generation
+    is pure given the seed/size/day, so the result is bit-identical to
+    a parent-local :meth:`StreamingJobSource.day_batch` call.
     """
-    seed, days, jobs_per_day, config, day, state = payload
-    key = (seed, days, jobs_per_day)
+    seed, jobs_per_day, day, state = payload
+    key = (seed, jobs_per_day)
     generator = _PREFETCH_GENERATORS.get(key)
     if generator is None:
-        generator = ScopeWorkloadGenerator(rng=seed, config=config)
+        generator = _world(seed, jobs_per_day)
         _PREFETCH_GENERATORS[key] = generator
     if state is not None:
         generator._day_states.setdefault(day, state)
-    batch = generator.day_batch(day)
+    batch = _head_batch(generator, day, jobs_per_day)
     return batch, generator._day_states[day + 1]
 
 
@@ -87,45 +94,29 @@ class StreamingJobSource:
     Days are generated on first access and cached until a different day
     is requested (capacity-1 cache: every driver ticks the same day, so
     one generation serves the whole fleet).  Days outside ``[0, days)``
-    return the default, mirroring the legacy per-day dict.  Pickles
-    carry the generator (catalog + RNG day states, a few MB) but never
-    cached days or in-flight prefetch futures, so checkpoints stay
-    manifest-sized and a resumed source replays deterministically.
+    are ``None``.  Pickles carry the generator (catalog + RNG day
+    states, a few MB) but never the cached day or an in-flight prefetch
+    future, so checkpoints stay manifest-sized and a resumed source
+    replays deterministically.
 
-    ``overlap`` controls next-day prefetch on the shared worker pool:
-    ``True``/``False`` force it, ``None`` (default) enables it only
-    when more than one CPU is available and the parallel substrate
-    would actually fan out (so single-core boxes and test runs never
-    pay pool startup for a prefetch that can't overlap anything).
+    ``overlap=True`` prefetches day ``d+1`` on the shared worker pool
+    while day ``d``'s services run.
     """
 
     def __init__(
-        self,
-        seed: int,
-        days: int,
-        jobs_per_day: int,
-        config: ScopeWorkloadConfig | None = None,
-        overlap: bool | None = None,
+        self, seed: int, days: int, jobs_per_day: int, overlap: bool = False
     ) -> None:
         if days < 1:
             raise ValueError("days must be >= 1")
         self.seed = seed
         self.days = days
         self.jobs_per_day = jobs_per_day
-        self.config = config or ScopeWorkloadConfig.for_scale(jobs_per_day)
         self.overlap = overlap
-        self._generator = ScopeWorkloadGenerator(
-            rng=seed, config=self.config
-        )
-        self._cache: tuple[int, list[Job]] | None = None
+        self._generator = _world(seed, jobs_per_day)
         self._batch_cache: tuple[int, "JobBatch"] | None = None
         self._pending: tuple[int, object] | None = None  # (day, Future)
         self.prefetch_hits = 0
         self.prefetch_misses = 0
-
-    @property
-    def generator(self) -> ScopeWorkloadGenerator:
-        return self._generator
 
     @property
     def catalog(self):
@@ -133,22 +124,11 @@ class StreamingJobSource:
         return self._generator.catalog
 
     # -- overlap ------------------------------------------------------------
-    def overlap_enabled(self) -> bool:
-        if self.overlap is not None:
-            return self.overlap
-        if (os.cpu_count() or 1) <= 1:
-            return False
-        return resolve_workers(2) > 1
-
-    def _maybe_prefetch(self, day: int) -> None:
-        if not 0 <= day < self.days or not self.overlap_enabled():
-            return
-        if self._pending is not None:
+    def _prefetch(self, day: int) -> None:
+        if not 0 <= day < self.days or self._pending is not None:
             return
         state = self._generator._day_states.get(day)
-        payload = (
-            self.seed, self.days, self.jobs_per_day, self.config, day, state,
-        )
+        payload = (self.seed, self.jobs_per_day, day, state)
         try:
             future = get_pool().submit(_prefetch_day, payload)
         except Exception:
@@ -175,12 +155,12 @@ class StreamingJobSource:
 
     # -- access -------------------------------------------------------------
     def day_batch(self, day: int) -> "JobBatch | None":
-        """The day's fused columnar batch (``None`` off-range).
+        """The day's batch: its first ``jobs_per_day`` jobs (``None`` off-range).
 
         Serves the capacity-1 batch cache, then a finished prefetch,
-        then a local build — and queues day ``d+1``'s prefetch before
-        returning, so generation overlaps the services consuming day
-        ``d``.  All three paths are bit-identical.
+        then a local build — and, with ``overlap``, queues day ``d+1``'s
+        prefetch before returning, so generation overlaps the services
+        consuming day ``d``.  All three paths are bit-identical.
         """
         if not 0 <= day < self.days:
             return None
@@ -189,30 +169,17 @@ class StreamingJobSource:
             return cached[1]
         batch = self._take_prefetched(day)
         if batch is None:
-            batch = self._generator.day_batch(day)
+            batch = _head_batch(self._generator, day, self.jobs_per_day)
         self._batch_cache = (day, batch)
-        self._maybe_prefetch(day + 1)
+        if self.overlap:
+            self._prefetch(day + 1)
         return batch
-
-    def day_jobs(self, day: int) -> list[Job]:
-        if self._cache is not None and self._cache[0] == day:
-            return self._cache[1]
-        jobs = self._generator.day_jobs(day)
-        self._cache = (day, jobs)
-        return jobs
-
-    def get(self, day: int, default=None) -> list[Job]:
-        """Dict-style access: the day's jobs, or ``default`` off-range."""
-        if not 0 <= day < self.days:
-            return default
-        return self.day_jobs(day)
 
     def pairs(self, head: int | None = None) -> "JobPairsView":
         return JobPairsView(self, head)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["_cache"] = None
         state["_batch_cache"] = None
         state["_pending"] = None
         return state
@@ -222,11 +189,11 @@ class JobPairsView:
     """``(job_id, plan)`` pairs per day, optionally head-limited.
 
     The plan-facing services (steering, CloudViews) optimize every plan
-    they see, so at streaming scale they sample the first ``head`` jobs
-    of each day — the repository still ingests the full stream.  Pairs
-    are read straight off the shared day batch's columns (job ids plus
-    the interned plan pool), so the plan-facing sample and the
-    repository ingest share one generation per day.
+    they see, so they sample the first ``head`` jobs of each day while
+    the repository ingests the whole feed.  Pairs are read straight off
+    the shared day batch's columns (job ids plus the interned plan
+    pool), so the plan-facing sample and the repository ingest share
+    one generation per day.
     """
 
     def __init__(self, source: StreamingJobSource, head: int | None) -> None:

@@ -81,11 +81,11 @@ class TrafficGenerator:
         if name == "steering":
             from repro.engine import signatures
 
-            jobs = getattr(driver, "jobs_by_day", {})
+            pairs = driver.jobs_by_day
             templates: list[str] = []
             seen: set[str] = set()
-            for day in sorted(jobs):
-                for _, plan in jobs[day]:
+            for day in range(pairs.source.days):
+                for _, plan in pairs.get(day, []):
                     template = signatures(plan).template
                     if template not in seen:
                         seen.add(template)

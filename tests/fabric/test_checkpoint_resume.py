@@ -181,32 +181,3 @@ class TestCheckpointFormat:
         assert feedback.loop is not None
         assert feedback.loop.registry is restored.registry
         assert restored.lifecycle.registry is restored.registry
-
-
-class TestDeprecatedShims:
-    """The old module-function API still works, one release, warning."""
-
-    def test_bytes_shims_warn_and_round_trip(self, uninterrupted_report):
-        from repro.fabric.checkpoint import checkpoint_bytes, restore_from_bytes
-
-        plane = _fleet_plane()
-        plane.run_days(CHECKPOINT_AT)
-        with pytest.warns(DeprecationWarning, match="repro.fabric.store"):
-            blob = checkpoint_bytes(plane)
-        with pytest.warns(DeprecationWarning, match="repro.fabric.store"):
-            restored = restore_from_bytes(blob)
-        restored.run_days(DAYS - CHECKPOINT_AT)
-        assert restored.report_bytes() == uninterrupted_report
-
-    def test_file_shims_warn_and_round_trip(self, tmp_path):
-        from repro.fabric.checkpoint import load_checkpoint, save_checkpoint
-
-        plane = ControlPlane()
-        plane.register(RecordingDriver())
-        plane.run_days(2)
-        path = tmp_path / "fabric.ckpt"
-        with pytest.warns(DeprecationWarning, match="save_checkpoint"):
-            save_checkpoint(plane, path)
-        with pytest.warns(DeprecationWarning, match="load_checkpoint"):
-            restored = load_checkpoint(path)
-        assert restored.day == 2

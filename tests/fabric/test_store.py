@@ -199,10 +199,8 @@ def _spilling_fleet(spill_dir, days: int, include=("peregrine", "steering")):
             days=days,
             jobs_per_day=600,
             include=include,
-            streaming=True,
             repo_memory_budget_mb=1,
             repo_spill_dir=str(spill_dir),
-            overlap_prefetch=False,
         ),
     )
     return plane

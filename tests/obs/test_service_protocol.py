@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import AutonomousService
-from repro.core.service import deprecated_alias
 from repro.core.doppler import SkuRecommender
 from repro.core.feedback import FeedbackLoop
 from repro.core.moneyball import MoneyballPolicy
@@ -117,53 +116,18 @@ class TestConformance:
 
 
 class TestDeprecatedAliases:
-    def test_steering_config_for_and_process(self, workload):
-        service = _steering(workload)
-        with pytest.warns(DeprecationWarning, match="config_for.*recommend"):
-            assert service.config_for("T1") == service.recommend("T1")
-        plan = workload.jobs[0].plan
-        with pytest.warns(DeprecationWarning, match="process.*observe"):
-            service.process("j1", plan)
-
-    def test_seagull_choose(self, tenants):
-        service = SeagullService()
-        predictable = [t for t in tenants if t.is_predictable]
-        service.observe(predictable[0])
-        with pytest.warns(DeprecationWarning, match="choose.*recommend"):
-            chosen = service.choose(predictable[0].tenant_id, day=30)
-        assert chosen == service.recommend(predictable[0].tenant_id, day=30)
-
-    def test_removed_aliases_are_gone(self):
-        # Doppler fit / Moneyball evaluate / Feedback actions served
-        # their one release as deprecated shims and are now removed.
+    def test_removed_aliases_are_gone(self, workload):
+        # Each old entry point served its release as a deprecated shim
+        # and is now removed along with the shim decorator.
         assert not hasattr(SkuRecommender(rng=0), "fit")
         assert not hasattr(MoneyballPolicy(), "evaluate")
         assert not hasattr(_feedback_loop(), "actions")
+        steering = _steering(workload)
+        assert not hasattr(steering, "config_for")
+        assert not hasattr(steering, "process")
+        assert not hasattr(SeagullService(), "choose")
 
     def test_new_entry_points_do_not_warn(self, recwarn, tenants):
         service = SeagullService()
         service.observe([t for t in tenants if t.is_predictable][0])
         assert not [w for w in recwarn.list if w.category is DeprecationWarning]
-
-    def test_decorator_records_replacement(self, workload):
-        assert SteeringService.process.__deprecated_for__ == "observe"
-
-    def test_decorator_on_custom_class(self):
-        class Thing(AutonomousService):
-            service_name = "thing"
-
-            def observe(self):
-                return "seen"
-
-            def recommend(self):
-                return None
-
-            def report(self):
-                return None
-
-            @deprecated_alias("observe")
-            def look(self):
-                return self.observe()
-
-        with pytest.warns(DeprecationWarning, match="Thing.look.*Thing.observe"):
-            assert Thing().look() == "seen"

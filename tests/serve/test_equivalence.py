@@ -5,14 +5,18 @@ final-report bytes of the seed-0, 4-day core fleet captured *before*
 the pipeline drivers were rerouted through the serve contract.  The
 same run must still produce those bytes, byte for byte: rerouting every
 driver stage through ``serve().unwrap()`` changed the plumbing, never
-the behaviour.
+the behaviour.  ``fleet_report_1200_jobs_per_day.json`` pins a seed-0,
+2-day core fleet on a 1,200-jobs/day world the same way, captured
+before every fleet size moved onto one streaming job feed.
 """
 
 from pathlib import Path
 
 from repro.fabric import ControlPlane, FleetConfig, build_fleet
 
-BASELINE = Path(__file__).parent / "data" / "fleet_report_pre_refactor.json"
+DATA = Path(__file__).parent / "data"
+BASELINE = DATA / "fleet_report_pre_refactor.json"
+BASELINE_1200 = DATA / "fleet_report_1200_jobs_per_day.json"
 
 
 class TestTickedFlowMatchesPreRefactorReport:
@@ -22,6 +26,15 @@ class TestTickedFlowMatchesPreRefactorReport:
             build_fleet(fabric, FleetConfig(seed=0, days=4))
             fabric.run_days(4)
             assert fabric.report_bytes() == BASELINE.read_bytes()
+        finally:
+            fabric.close()
+
+    def test_seed0_1200_jobs_per_day_fleet_is_byte_identical(self):
+        fabric = ControlPlane()
+        try:
+            build_fleet(fabric, FleetConfig(seed=0, days=2, jobs_per_day=1200))
+            fabric.run_days(2)
+            assert fabric.report_bytes() == BASELINE_1200.read_bytes()
         finally:
             fabric.close()
 
