@@ -24,7 +24,8 @@ analyze` never needs every record in memory at once.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import networkx as nx
@@ -84,6 +85,78 @@ class JobRecord:
 # columnar batches
 # ---------------------------------------------------------------------------
 
+#: Resident bytes of one built plan: its Expression tree plus memoized
+#: signature maps, calibrated against RSS deltas at 100k jobs/day
+#: (36k built plans -> ~120 MB).
+PLAN_BYTES = 2900
+#: Bytes of an empty ``str`` object; a stored ASCII id or signature
+#: name costs this plus one byte per character.
+_STR_BYTES = sys.getsizeof("")
+
+
+class PlanPool:
+    """Unique plans by plan code, each built at most once.
+
+    An entry is either an :class:`Expression` or a
+    :class:`~repro.workloads.scope.AdhocRecipe` (the SCOPE generator's
+    ad-hoc plans; ``build()`` returns the plan, ``NBYTES`` is what one
+    recipe keeps resident).
+    Indexing is the one plan accessor every reader goes through —
+    ``DayChunk.record`` and the services' head sample alike.  A recipe is
+    built on first read and the plan cached beside it, so readers of
+    one pool share one object and its memoized signatures.  Pickles
+    carry the entries only, never the built cache.
+    """
+
+    __slots__ = ("items", "_built", "_nbytes")
+
+    def __init__(self, items: list | None = None) -> None:
+        self.items: list = [] if items is None else items
+        self._built: dict[int, Expression] = {}
+        self._nbytes: int | None = None
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __getitem__(self, code: int) -> Expression:
+        item = self.items[code]
+        if isinstance(item, Expression):
+            return item
+        plan = self._built.get(code)
+        if plan is None:
+            plan = self._built[code] = item.build()
+            if self._nbytes is not None:
+                self._nbytes += PLAN_BYTES
+        return plan
+
+    def append(self, plan: Expression) -> None:
+        self.items.append(plan)
+        self._nbytes = None
+
+    def extend(self, other: "PlanPool") -> None:
+        """Append ``other``'s entries, sharing the plans it already built."""
+        base = len(self.items)
+        self.items.extend(other.items)
+        for code, plan in other._built.items():
+            self._built[base + code] = plan
+        self._nbytes = None
+
+    def nbytes(self) -> int:
+        """Recipes at their own size, plans at :data:`PLAN_BYTES` each."""
+        if self._nbytes is None:
+            recipes = [
+                item for item in self.items
+                if not isinstance(item, Expression)
+            ]
+            n_plans = len(self.items) - len(recipes) + len(self._built)
+            self._nbytes = 8 * len(self.items) + PLAN_BYTES * n_plans
+            if recipes:
+                self._nbytes += recipes[0].NBYTES * len(recipes)
+        return self._nbytes
+
+    def __reduce__(self):
+        return PlanPool, (self.items,)
+
 
 @dataclass
 class JobBatch:
@@ -93,7 +166,8 @@ class JobBatch:
     here, at construction; :meth:`WorkloadRepository.ingest_batch` then
     appends pure columns.  Recurring instances that share a plan object
     share one entry in ``plans`` — the columnar win that makes 100k+
-    job days cheap.
+    job days cheap.  Plan ``p``'s strict-signature codes (walk order)
+    are ``sig_codes[sig_offsets[p]:sig_offsets[p + 1]]``.
     """
 
     day: int
@@ -101,10 +175,11 @@ class JobBatch:
     submit_hours: np.ndarray               # f8, one per job
     plan_codes: np.ndarray                 # u4 into plans, one per job
     param_codes: np.ndarray                # u4 into params_pool, one per job
-    plans: list[Expression]
+    plans: PlanPool
     plan_templates: list[str]
     plan_stricts: list[str]
-    plan_sig_codes: list[np.ndarray]       # per plan: u4 into the batch sig pool
+    sig_codes: np.ndarray                  # u4 into the batch sig pool, flat
+    sig_offsets: np.ndarray                # i8, len(plans) + 1
     sig_names: list[str]                   # batch-local strict-sig pool,
     sig_sizes: list[int]                   # first-sighting order across plans
     params_pool: list[dict]
@@ -123,10 +198,11 @@ class JobBatch:
         hours = np.empty(len(jobs), dtype=np.float64)
         plan_codes = np.empty(len(jobs), dtype=np.uint32)
         param_codes = np.empty(len(jobs), dtype=np.uint32)
-        plans: list[Expression] = []
+        plans = PlanPool()
         plan_templates: list[str] = []
         plan_stricts: list[str] = []
-        plan_sig_codes: list[np.ndarray] = []
+        sig_codes: list[int] = []
+        sig_offsets = [0]
         sig_names: list[str] = []
         sig_sizes: list[int] = []
         params_pool: list[dict] = []
@@ -149,16 +225,15 @@ class JobBatch:
                 plans.append(job.plan)
                 plan_templates.append(sigs.template)
                 plan_stricts.append(sigs.strict)
-                codes = np.empty(len(strict_map), dtype=np.uint32)
-                for i, (name, node) in enumerate(strict_map.items()):
+                for name, node in strict_map.items():
                     sig_code = sig_index.get(name)
                     if sig_code is None:
                         sig_code = len(sig_names)
                         sig_index[name] = sig_code
                         sig_names.append(name)
                         sig_sizes.append(node.size)
-                    codes[i] = sig_code
-                plan_sig_codes.append(codes)
+                    sig_codes.append(sig_code)
+                sig_offsets.append(len(sig_codes))
             plan_codes[row] = code
             pkey = (code,) + tuple(job.params.items())
             pcode = param_index.get(pkey)
@@ -180,7 +255,8 @@ class JobBatch:
             plans=plans,
             plan_templates=plan_templates,
             plan_stricts=plan_stricts,
-            plan_sig_codes=plan_sig_codes,
+            sig_codes=np.asarray(sig_codes, dtype=np.uint32),
+            sig_offsets=np.asarray(sig_offsets, dtype=np.int64),
             sig_names=sig_names,
             sig_sizes=sig_sizes,
             params_pool=params_pool,
@@ -198,12 +274,14 @@ class _Column:
 
     __slots__ = ("dtype", "parts", "pending", "_cache", "_n")
 
-    def __init__(self, dtype) -> None:
+    def __init__(self, dtype, values: np.ndarray | None = None) -> None:
         self.dtype = np.dtype(dtype)
         self.parts: list[np.ndarray] = []
         self.pending: list = []
         self._cache: np.ndarray | None = None
         self._n = 0
+        if values is not None:
+            self.extend(values)
 
     def __len__(self) -> int:
         return self._n
@@ -232,27 +310,37 @@ class _Column:
                 self._cache = parts[0]
             else:
                 self._cache = np.concatenate(parts)
+            # The joined array replaces its segments: one copy resident.
+            self.parts = [self._cache]
+            self.pending = []
         return self._cache
 
     def nbytes(self) -> int:
         return self._n * self.dtype.itemsize
 
 
+def _strs_nbytes(strings: list[str]) -> int:
+    """Resident bytes of a list of distinct ASCII strings."""
+    return (8 + _STR_BYTES) * len(strings) + sum(map(len, strings))
+
+
 class DayChunk:
     """One day's columnar job table plus its interned pools.
 
     Everything a day needs travels together — columns, unique plans,
-    the signature pool, parameter pool, and sparse dependency map — so
-    a chunk spills to disk and reloads as one self-contained pickle.
-    Chunks only ever grow by appending rows, so ``(day, n)`` names
-    exactly one content; :class:`JobTable` relies on that to write each
-    version of a day to disk at most once.
+    the signature pool as flat codes plus per-plan offsets (a CSR),
+    parameter pool, and sparse dependency map — so a chunk spills to
+    disk and reloads as one self-contained pickle.  The plan pool keeps
+    ad-hoc plans as recipes, so a spilled day stores their five draws,
+    not plan trees.  Chunks only ever grow by appending rows, so
+    ``(day, n)`` names exactly one content; :class:`JobTable` relies on
+    that to write each version of a day to disk at most once.
     """
 
     __slots__ = (
         "day", "job_ids", "submit_hours", "plan_codes", "param_codes",
-        "plans", "plan_templates", "plan_stricts", "plan_sig_codes",
-        "sig_names", "sig_sizes", "params_pool", "deps_map",
+        "plans", "plan_templates", "plan_stricts", "sig_codes",
+        "sig_offsets", "sig_names", "sig_sizes", "params_pool", "deps_map",
         "_sig_index", "_filtered_cache", "_sig_bytes", "_nbytes_cache",
     )
 
@@ -262,16 +350,17 @@ class DayChunk:
         self.submit_hours = _Column(np.float64)
         self.plan_codes = _Column(np.uint32)
         self.param_codes = _Column(np.uint32)
-        self.plans: list[Expression] = []
+        self.plans = PlanPool()
         self.plan_templates: list[str] = []
         self.plan_stricts: list[str] = []
-        self.plan_sig_codes: list[np.ndarray] = []
+        self.sig_codes = _Column(np.uint32)
+        self.sig_offsets = _Column(np.int64, np.zeros(1, dtype=np.int64))
         self.sig_names: list[str] = []
         self.sig_sizes: list[int] = []
         self.params_pool: list[dict] = []
         self.deps_map: dict[int, tuple[str, ...]] = {}
         self._sig_index: dict[str, int] | None = {}
-        self._filtered_cache: dict[int, list[np.ndarray]] = {}
+        self._filtered_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sig_bytes: np.ndarray | None = None
         self._nbytes_cache: int | None = None
 
@@ -285,18 +374,15 @@ class DayChunk:
             self._sig_index = {s: i for i, s in enumerate(self.sig_names)}
         return self._sig_index
 
-    def _intern_sigs(self, names: list[str], sizes: list[int]) -> np.ndarray:
+    def _intern_sig(self, name: str, size: int) -> int:
         index = self._sig_lookup()
-        codes = np.empty(len(names), dtype=np.uint32)
-        for i, (name, size) in enumerate(zip(names, sizes)):
-            code = index.get(name)
-            if code is None:
-                code = len(self.sig_names)
-                index[name] = code
-                self.sig_names.append(name)
-                self.sig_sizes.append(size)
-            codes[i] = code
-        return codes
+        code = index.get(name)
+        if code is None:
+            code = len(self.sig_names)
+            index[name] = code
+            self.sig_names.append(name)
+            self.sig_sizes.append(size)
+        return code
 
     def _invalidate(self) -> None:
         self._filtered_cache = {}
@@ -315,7 +401,10 @@ class DayChunk:
         self.plans.append(plan)
         self.plan_templates.append(template)
         self.plan_stricts.append(strict)
-        self.plan_sig_codes.append(self._intern_sigs(sig_names, sig_sizes))
+        append = self.sig_codes.append
+        for name, size in zip(sig_names, sig_sizes):
+            append(self._intern_sig(name, size))
+        self.sig_offsets.append(len(self.sig_codes))
         return code
 
     def add_params(self, plan_code: int, params: dict) -> int:
@@ -349,29 +438,27 @@ class DayChunk:
     def append_batch(self, batch: JobBatch) -> None:
         base_row = self.n
         plan_offset = np.uint32(len(self.plans))
-        if not self.plans:
+        if not len(self.plans):
             # Fresh chunk (the one-batch-per-day hot path): adopt the
-            # batch's pre-interned pools wholesale — zero per-sig work.
+            # batch's pre-interned pools and code arrays wholesale —
+            # zero per-sig work.
             self.sig_names = list(batch.sig_names)
             self.sig_sizes = list(batch.sig_sizes)
             self._sig_index = None
-            self.plan_sig_codes = list(batch.plan_sig_codes)
+            self.sig_codes = _Column(np.uint32, batch.sig_codes)
+            self.sig_offsets = _Column(np.int64, batch.sig_offsets)
         else:
-            remap = np.empty(len(batch.sig_names), dtype=np.uint32)
-            index = self._sig_lookup()
-            for i, (name, size) in enumerate(
-                zip(batch.sig_names, batch.sig_sizes)
-            ):
-                code = index.get(name)
-                if code is None:
-                    code = len(self.sig_names)
-                    index[name] = code
-                    self.sig_names.append(name)
-                    self.sig_sizes.append(size)
-                remap[i] = code
-            self.plan_sig_codes.extend(
-                remap[codes] for codes in batch.plan_sig_codes
+            remap = np.fromiter(
+                (
+                    self._intern_sig(name, size)
+                    for name, size in zip(batch.sig_names, batch.sig_sizes)
+                ),
+                dtype=np.uint32,
+                count=len(batch.sig_names),
             )
+            sig_base = len(self.sig_codes)
+            self.sig_codes.extend(remap[batch.sig_codes])
+            self.sig_offsets.extend(batch.sig_offsets[1:] + sig_base)
         self.plans.extend(batch.plans)
         self.plan_templates.extend(batch.plan_templates)
         self.plan_stricts.extend(batch.plan_stricts)
@@ -405,12 +492,17 @@ class DayChunk:
     def records(self) -> list[JobRecord]:
         return [self.record(row) for row in range(self.n)]
 
-    def filtered_sig_codes(self, min_size: int) -> list[np.ndarray]:
-        """Per-plan strict-sig codes with node size >= ``min_size``."""
+    def filtered_sig_codes(self, min_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, offsets)`` CSR of strict sigs with node size >= ``min_size``."""
         cached = self._filtered_cache.get(min_size)
         if cached is None:
-            keep = np.asarray(self.sig_sizes, dtype=np.int64) >= min_size
-            cached = [codes[keep[codes]] for codes in self.plan_sig_codes]
+            codes = self.sig_codes.array()
+            keep = (np.asarray(self.sig_sizes, dtype=np.int64) >= min_size)[
+                codes
+            ]
+            kept = np.zeros(len(codes) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept[1:])
+            cached = (codes[keep], kept[self.sig_offsets.array()])
             self._filtered_cache[min_size] = cached
         return cached
 
@@ -427,53 +519,64 @@ class DayChunk:
         ``subexpression_strict`` dicts produces — the invariant the
         byte-identical sharing statistics rest on.
         """
-        filt = self.filtered_sig_codes(min_size)
+        codes, offsets = self.filtered_sig_codes(min_size)
         plan_codes = self.plan_codes.array()
-        if not len(plan_codes):
-            empty = np.empty(0, dtype=np.uint32)
-            return empty, empty
-        lens = np.fromiter(
-            (len(a) for a in filt), dtype=np.int64, count=len(filt)
-        )
-        data = (
-            np.concatenate(filt)
-            if filt
-            else np.empty(0, dtype=np.uint32)
-        )
-        offs = np.concatenate(([0], np.cumsum(lens)))[:-1]
-        counts = lens[plan_codes]
-        total = int(counts.sum())
+        starts = offsets[plan_codes]
+        counts = offsets[plan_codes + 1] - starts
         flat_job = np.repeat(
             np.arange(len(plan_codes), dtype=np.uint32), counts
         )
-        starts = np.repeat(offs[plan_codes], counts)
-        base = np.repeat(np.cumsum(counts) - counts, counts)
-        flat_sig = data[starts + (np.arange(total) - base)]
-        return flat_job, flat_sig.astype(np.uint32, copy=False)
+        # Job r's k-th code sits at starts[r] + k; ``shift`` turns the
+        # running position in the output into that index.
+        shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
+        flat_sig = codes[np.arange(len(flat_job)) - shift]
+        return flat_job, flat_sig
 
     # -- bookkeeping ---------------------------------------------------------
     def nbytes(self) -> int:
-        """Rough resident-size estimate driving the LRU budget."""
+        """Resident bytes this chunk holds, driving the LRU budget.
+
+        Columns and the signature CSR count exactly, strings and dicts
+        at their CPython object sizes, recipes at their own size and
+        each built plan at :data:`PLAN_BYTES`.  Derived caches
+        (filtered CSRs, the shm signature array, the interning index)
+        count while they are held.
+        """
         if self._nbytes_cache is None:
-            n = self.n
-            array_bytes = (
+            columns = (
                 self.submit_hours.nbytes()
                 + self.plan_codes.nbytes()
                 + self.param_codes.nbytes()
+                + self.sig_codes.nbytes()
+                + self.sig_offsets.nbytes()
             )
-            sig_bytes = sum(codes.nbytes for codes in self.plan_sig_codes)
-            string_bytes = 64 * n  # job-id strings + list slots
-            # A unique plan retains its Expression tree plus memoized
-            # signature maps — ~2.9 KB resident, calibrated against RSS
-            # deltas at 100k jobs/day (36k plans -> ~120 MB/chunk).
-            pool_bytes = 2900 * len(self.plans) + sum(
-                len(s) + 56 for s in self.sig_names
+            pools = (
+                _strs_nbytes(self.job_ids)
+                + _strs_nbytes(self.plan_stricts)
+                + _strs_nbytes(self.sig_names)
+                # templates are owned by the plans' signature memos
+                + 8 * (len(self.plan_templates) + len(self.sig_sizes))
             )
-            deps_bytes = 120 * len(self.deps_map)
-            self._nbytes_cache = (
-                array_bytes + sig_bytes + string_bytes + pool_bytes + deps_bytes
+            # Dicts plus their float values.
+            params = (
+                8 * len(self.params_pool)
+                + sum(map(sys.getsizeof, self.params_pool))
+                + 24 * sum(map(len, self.params_pool))
             )
-        return self._nbytes_cache
+            # Per edge: the row int, a 1-tuple and its id string (ad-hoc
+            # consumers of one producer share the string).
+            deps = sys.getsizeof(self.deps_map) + 120 * len(self.deps_map)
+            self._nbytes_cache = columns + pools + params + deps
+        # Plans read since (built recipes) and derived caches count live.
+        derived = self.plans.nbytes() + sum(
+            codes.nbytes + offsets.nbytes
+            for codes, offsets in self._filtered_cache.values()
+        )
+        if self._sig_bytes is not None:
+            derived += self._sig_bytes.nbytes
+        if self._sig_index is not None:
+            derived += sys.getsizeof(self._sig_index)
+        return self._nbytes_cache + derived
 
     def __getstate__(self) -> dict:
         return {
@@ -485,7 +588,8 @@ class DayChunk:
             "plans": self.plans,
             "plan_templates": self.plan_templates,
             "plan_stricts": self.plan_stricts,
-            "plan_sig_codes": self.plan_sig_codes,
+            "sig_codes": self.sig_codes.array(),
+            "sig_offsets": self.sig_offsets.array(),
             "sig_names": self.sig_names,
             "sig_sizes": self.sig_sizes,
             "params_pool": self.params_pool,
@@ -498,10 +602,25 @@ class DayChunk:
         self.submit_hours.extend(state["submit_hours"])
         self.plan_codes.extend(state["plan_codes"])
         self.param_codes.extend(state["param_codes"])
-        self.plans = state["plans"]
+        plans = state["plans"]
+        self.plans = plans if isinstance(plans, PlanPool) else PlanPool(plans)
         self.plan_templates = state["plan_templates"]
         self.plan_stricts = state["plan_stricts"]
-        self.plan_sig_codes = state["plan_sig_codes"]
+        if "plan_sig_codes" in state:
+            # Older files hold one code array per plan: flatten them.
+            per_plan = state["plan_sig_codes"]
+            lens = np.fromiter(map(len, per_plan), np.int64, len(per_plan))
+            offsets = np.zeros(len(per_plan) + 1, dtype=np.int64)
+            np.cumsum(lens, out=offsets[1:])
+            codes = (
+                np.concatenate(per_plan)
+                if per_plan
+                else np.empty(0, dtype=np.uint32)
+            )
+        else:
+            codes, offsets = state["sig_codes"], state["sig_offsets"]
+        self.sig_codes = _Column(np.uint32, codes)
+        self.sig_offsets = _Column(np.int64, offsets)
         self.sig_names = state["sig_names"]
         self.sig_sizes = state["sig_sizes"]
         self.params_pool = state["params_pool"]
@@ -1144,17 +1263,11 @@ class WorkloadRepository:
         if cached is not None and not closing:
             return cached
         chunk = self._table.chunk(day)
-        involved: set[str] = set()
-        foreign = False
-        own_ids: set[str] | None = None
-        for row, deps in chunk.deps_map.items():
-            involved.add(chunk.job_ids[row])
-            involved.update(deps)
-            if not foreign:
-                if own_ids is None:
-                    own_ids = set(chunk.job_ids)
-                foreign = any(dep not in own_ids for dep in deps)
-        if foreign:
+        deps_map = chunk.deps_map
+        job_ids = chunk.job_ids
+        dep_ids: set[str] = set().union(*deps_map.values())
+        involved = {job_ids[row] for row in deps_map} | dep_ids
+        if dep_ids and not dep_ids.issubset(job_ids):
             # A dependency names a job outside this day: per-day counts
             # are no longer disjoint, so analysis falls back to the
             # exact global union.

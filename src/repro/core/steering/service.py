@@ -226,8 +226,15 @@ class SteeringService(AutonomousService):
         with self._span("observe", job_id=job_id):
             template = signatures(plan).template
             state = self._state(template)
-            default_cost = self._evaluate(plan, RuleConfig.all_on())
-            steered_cost = self._evaluate(plan, state.config)
+            all_on = RuleConfig.all_on()
+            default_cost = self._evaluate(plan, all_on)
+            # Costing is deterministic: a template still on the default
+            # config would optimize and cost the same plan twice.
+            steered_cost = (
+                default_cost
+                if state.config == all_on
+                else self._evaluate(plan, state.config)
+            )
 
             experimented = False
             trial_arm = None

@@ -41,8 +41,11 @@ from repro.engine.expr import (
 
 #: Instance-dict slot holding the memoized (strict, template) pair.
 #: Expression nodes are frozen dataclasses, so once built their hashes
-#: can never go stale; ``dataclasses.replace`` and deserialization build
-#: fresh instances without the cache entry.
+#: can never go stale; ``dataclasses.replace`` builds fresh instances
+#: without the cache entry.  Pickle keeps every ``_memo_*`` entry (they
+#: live in the instance dict), so a memoized plan pickles several times
+#: larger and slower than a bare one — one reason spilled Peregrine days
+#: store ad-hoc plans as recipes rather than trees.
 _SIG_ATTR = "_memo_signatures"
 
 #: Instance-dict slot holding the memoized per-subtree signature sets.

@@ -193,7 +193,9 @@ class JobPairsView:
     the repository ingests the whole feed.  Pairs are read straight off
     the shared day batch's columns (job ids plus the interned plan
     pool), so the plan-facing sample and the repository ingest share
-    one generation per day.
+    one generation per day.  Indexing the pool builds a recipe's plan
+    on first read and caches it in the batch, so every service sampling
+    the day gets the same plan object.
     """
 
     def __init__(self, source: StreamingJobSource, head: int | None) -> None:

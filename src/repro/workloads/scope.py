@@ -21,12 +21,14 @@ The generator is calibrated to those statistics:
 from __future__ import annotations
 
 import gc
+import sys
 from binascii import hexlify
 from copy import deepcopy
 from dataclasses import dataclass, field
+from functools import lru_cache
 from hashlib import sha1
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -319,48 +321,82 @@ class _AdhocShape:
     root_pre: bytes          # strict root payload up to the child sig
     root_size: int           # node count of the full plan
     root_template: str       # template signature of the full plan
-    scan_node: Scan          # shared scan instances: plans differ only
-    jscan_node: Scan | None  # in the predicate literal above the scans
-    aggregate: bool
-    root_cols: tuple[str, ...]  # Aggregate group_by / Project columns
 
 
-def _stamp_adhoc_plan(shape: _AdhocShape, column: str, value: float) -> Expression:
-    """Stamp one ad-hoc plan from its cached shape.
+@lru_cache(maxsize=4096)
+def _scan_node(table: str, side: int) -> Scan:
+    """One shared ``Scan`` per table and join side.
 
-    Equivalent to building the tree with the dataclass constructors, but
-    ~6x cheaper: frozen-dataclass ``__init__`` pays two
-    ``object.__setattr__`` calls per field, while filling ``__dict__``
-    directly (in field order, so pickles lay out identically) costs one
-    dict store.  The scans carry no literal, so the shape's shared
-    instances are reused across every plan of the same shape; equality
-    and hashing stay structural either way.
+    Scans carry no literal, so every ad-hoc plan over a table reuses the
+    same instance (and its memoized signatures); equality and hashing
+    stay structural either way.  ``side`` 0 is the filtered input and 1
+    the join's right input: a self-join keeps two distinct scan objects,
+    since stage compilation keys nodes by identity and would otherwise
+    fold both inputs into one scan stage.
     """
-    pred = Predicate.__new__(Predicate)
-    pd = pred.__dict__
-    pd["column"] = column
-    pd["op"] = "<="
-    pd["value"] = value
-    filt = Filter.__new__(Filter)
-    fd = filt.__dict__
-    fd["child"] = shape.scan_node
-    fd["predicates"] = (pred,)
-    top: Expression = filt
-    if shape.jscan_node is not None:
-        join = Join.__new__(Join)
-        jd = join.__dict__
-        jd["left"] = filt
-        jd["right"] = shape.jscan_node
-        jd["left_key"] = "key"
-        jd["right_key"] = "key"
-        top = join
-    root = (Aggregate if shape.aggregate else Project).__new__(
-        Aggregate if shape.aggregate else Project
-    )
-    rd = root.__dict__
-    rd["child"] = top
-    rd["group_by" if shape.aggregate else "columns"] = shape.root_cols
-    return root
+    return Scan(table)
+
+
+class AdhocRecipe(NamedTuple):
+    """The five draws that fix one ad-hoc plan.
+
+    The fused day carries ad-hoc plans as recipes: a handful of the day's
+    plans are ever read as trees, so :meth:`build` runs on first read
+    (see ``PlanPool`` in the Peregrine repository), and a pickled day
+    stores these five fields instead of a plan tree.  Names are the
+    catalog's own strings, so a recipe owns only its tuple and literal.
+    """
+
+    table: str
+    column: str
+    value: float
+    join_table: str | None
+    aggregate: bool
+
+    #: Bytes one recipe alone keeps resident: its 5-tuple and literal.
+    NBYTES = sys.getsizeof((None,) * 5) + sys.getsizeof(0.0)
+
+    def build(self) -> Expression:
+        """The plan these draws describe: filter-scan, optionally joined
+        to a second scan, capped by an aggregate or a project.
+
+        The one ad-hoc plan builder (the per-job generator uses it too).
+        Equivalent to building the tree with the dataclass constructors,
+        but ~6x cheaper: frozen-dataclass ``__init__`` pays two
+        ``object.__setattr__`` calls per field, while filling ``__dict__``
+        directly (in field order, so pickles lay out identically) costs
+        one dict store.
+        """
+        table, column, value, join_table, aggregate = self
+        pred = Predicate.__new__(Predicate)
+        pd = pred.__dict__
+        pd["column"] = column
+        pd["op"] = "<="
+        pd["value"] = value
+        filt = Filter.__new__(Filter)
+        fd = filt.__dict__
+        fd["child"] = _scan_node(table, 0)
+        fd["predicates"] = (pred,)
+        top: Expression = filt
+        if join_table is not None:
+            join = Join.__new__(Join)
+            jd = join.__dict__
+            jd["left"] = filt
+            jd["right"] = _scan_node(join_table, 1)
+            jd["left_key"] = "key"
+            jd["right_key"] = "key"
+            top = join
+        if aggregate:
+            root = Aggregate.__new__(Aggregate)
+            rd = root.__dict__
+            rd["child"] = top
+            rd["group_by"] = (column,)
+        else:
+            root = Project.__new__(Project)
+            rd = root.__dict__
+            rd["child"] = top
+            rd["columns"] = (column, "key")
+        return root
 
 
 class ScopeWorkloadGenerator:
@@ -830,18 +866,6 @@ class ScopeWorkloadGenerator:
             submit_hour, depends,
         )
 
-    def _adhoc_plan(
-        self,
-        table: str,
-        column: str,
-        value: float,
-        join_table: str | None,
-        aggregate: bool,
-    ) -> Expression:
-        """Build the ad-hoc plan an :meth:`_adhoc_draws` tuple describes."""
-        shape = self._adhoc_shape(table, column, join_table, aggregate)
-        return _stamp_adhoc_plan(shape, column, value)
-
     def _adhoc_job(
         self,
         rng: np.random.Generator,
@@ -858,9 +882,10 @@ class ScopeWorkloadGenerator:
         table, column, value, join_table, aggregate, submit_hour, depends = (
             self._adhoc_draws(rng, day, producers)
         )
+        recipe = AdhocRecipe(table, column, value, join_table, aggregate)
         return Job(
             job_id=f"d{day:03d}-adhoc{index:03d}",
-            plan=self._adhoc_plan(table, column, value, join_table, aggregate),
+            plan=recipe.build(),
             submit_hour=submit_hour,
             depends_on=depends,
         )
@@ -961,10 +986,6 @@ class ScopeWorkloadGenerator:
             root_pre=f"{root_desc}(".encode(),
             root_size=root_size,
             root_template=_digest(f"{root_desc}({top_template})"),
-            scan_node=Scan(table),
-            jscan_node=Scan(join_table) if join_table is not None else None,
-            aggregate=aggregate,
-            root_cols=(column,) if aggregate else (column, "key"),
         )
         self._adhoc_shapes[key] = shape
         return shape
@@ -978,7 +999,10 @@ class ScopeWorkloadGenerator:
         calls per unique ad-hoc plan instead of a full signature pass:
         recurring instances are stamped from one per-template skeleton
         via columnar repeats, and the day never exists as a
-        million-element list.  Interleaves freely with
+        million-element list.  Ad-hoc plans stay :class:`AdhocRecipe`
+        entries of the plan pool until read (a read builds a plan ``==``
+        the one ``day_jobs`` stamps), and the signature codes stay one
+        flat array with per-plan offsets.  Interleaves freely with
         :meth:`day_jobs`/:meth:`stream_days` (shared day-state cache).
         """
         if day < 0:
@@ -1000,7 +1024,7 @@ class ScopeWorkloadGenerator:
         return batch
 
     def _build_day_batch(self, day: int, rng: np.random.Generator) -> "JobBatch":
-        from repro.core.peregrine.repository import JobBatch
+        from repro.core.peregrine.repository import JobBatch, PlanPool
 
         cfg = self.config
         instances = cfg.instances_per_template
@@ -1011,11 +1035,12 @@ class ScopeWorkloadGenerator:
         n_adhoc = self.adhoc_per_day
 
         # Per-ref pools in draw order (refs 0..T-1 are the recurring
-        # skeletons, T..T+A-1 the ad-hoc plans).  Signature names and
+        # skeletons, T..T+A-1 the ad-hoc plans, kept as recipes and only
+        # built if something reads them).  Signature names and
         # node sizes go into one flat draw-order stream with per-ref
         # lengths; a single vectorized gather permutes them to plan-code
         # order below instead of juggling 350k small lists.
-        ref_plans: list[Expression] = []
+        ref_plans: list[Expression | AdhocRecipe] = []
         ref_templates: list[str] = []
         ref_stricts: list[str] = []
         ref_params: list[dict | None] = []
@@ -1054,6 +1079,7 @@ class ScopeWorkloadGenerator:
         _sha1 = sha1
         _hex = hexlify
         plans_append = ref_plans.append
+        new_recipe = AdhocRecipe._make
         templates_append = ref_templates.append
         stricts_append = ref_stricts.append
         params_append = ref_params.append
@@ -1061,9 +1087,8 @@ class ScopeWorkloadGenerator:
         sizes_extend = sizes_flat.extend
         lens_append = ref_lens.append
         for k in range(n_adhoc):
-            table, column, value, join_table, aggregate, hour, depends = (
-                draws(rng, day, producers)
-            )
+            drawn = draws(rng, day, producers)
+            table, column, value, join_table, aggregate, hour, depends = drawn
             adhoc_hours[k] = hour
             if depends:
                 pre_deps[n_rec + k] = depends
@@ -1096,7 +1121,7 @@ class ScopeWorkloadGenerator:
                 names_extend((shape.scan_raw, filt_raw, root_raw))
                 sizes_extend((1, 2, shape.root_size))
                 lens_append(3)
-            plans_append(_stamp_adhoc_plan(shape, column, value))
+            plans_append(new_recipe(drawn[:5]))
             templates_append(shape.root_template)
             stricts_append(root_raw.hex())
             params_append(None)
@@ -1137,7 +1162,7 @@ class ScopeWorkloadGenerator:
         # a million dict probes with a handful of array ops.  One params
         # entry per plan (``from_jobs`` keys params on the plan code, so
         # codes and param codes agree).
-        plans = [ref_plans[r] for r in ref_order]
+        plans = PlanPool([ref_plans[r] for r in ref_order])
         plan_templates = [ref_templates[r] for r in ref_order]
         plan_stricts = [ref_stricts[r] for r in ref_order]
         params_pool: list[dict] = []
@@ -1167,7 +1192,8 @@ class ScopeWorkloadGenerator:
         sig_code_of = np.empty(len(uniq_names), dtype=np.uint32)
         sig_code_of[name_rank] = np.arange(len(uniq_names), dtype=np.uint32)
         codes_flat = sig_code_of[name_inverse].astype(np.uint32, copy=False)
-        plan_sig_codes = np.split(codes_flat, np.cumsum(lens_sorted)[:-1])
+        sig_offsets = np.zeros(len(lens_sorted) + 1, dtype=np.int64)
+        np.cumsum(lens_sorted, out=sig_offsets[1:])
         hex_pool = uniq_names[name_rank].tobytes().hex()
         sig_names = [
             hex_pool[i:i + 16] for i in range(0, len(hex_pool), 16)
@@ -1188,7 +1214,8 @@ class ScopeWorkloadGenerator:
             plans=plans,
             plan_templates=plan_templates,
             plan_stricts=plan_stricts,
-            plan_sig_codes=plan_sig_codes,
+            sig_codes=codes_flat,
+            sig_offsets=sig_offsets,
             sig_names=sig_names,
             sig_sizes=sig_sizes,
             params_pool=params_pool,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.peregrine.analysis import analyze
-from repro.core.peregrine.repository import JobBatch, WorkloadRepository
+from repro.core.peregrine.repository import JobBatch, PlanPool, WorkloadRepository
 from repro.engine import Scan
 from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
@@ -34,10 +34,11 @@ def tiny_batch(
         submit_hours=np.arange(n_jobs, dtype=np.float64),
         plan_codes=np.zeros(n_jobs, dtype=np.uint32),
         param_codes=np.zeros(n_jobs, dtype=np.uint32),
-        plans=[Scan(f"t{day}")],
+        plans=PlanPool([Scan(f"t{day}")]),
         plan_templates=[f"tmpl{day}"],
         plan_stricts=[f"strict{day}"],
-        plan_sig_codes=[np.arange(len(sig_names), dtype=np.uint32)],
+        sig_codes=np.arange(len(sig_names), dtype=np.uint32),
+        sig_offsets=np.array([0, len(sig_names)], dtype=np.int64),
         sig_names=sig_names,
         sig_sizes=sig_sizes,
         params_pool=[{}],

@@ -88,3 +88,19 @@ class TestValidation:
         # no template's adopted arm may also be blacklisted.
         for state in service._states.values():
             assert not (set(state.adopted_arms) & state.blacklisted)
+
+    def test_default_config_costs_each_plan_once(self, world):
+        calls = []
+
+        def true_cost(plan):
+            calls.append(plan)
+            return world["true_cost"].cost(plan).total
+
+        fresh = SteeringService(
+            world["optimizer"], true_cost, exploration_rate=0.0, rng=0
+        )
+        plan = world["workload"].jobs[0].plan
+        outcome = fresh.observe("job-0", plan)
+        assert outcome.config == RuleConfig.all_on()
+        assert len(calls) == 1
+        assert outcome.steered_cost == outcome.default_cost

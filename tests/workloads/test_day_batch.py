@@ -26,11 +26,11 @@ def assert_batches_identical(batch: JobBatch, ref: JobBatch) -> None:
     assert np.array_equal(batch.submit_hours, ref.submit_hours)
     assert np.array_equal(batch.plan_codes, ref.plan_codes)
     assert np.array_equal(batch.param_codes, ref.param_codes)
-    assert batch.plans == ref.plans
+    assert list(batch.plans) == list(ref.plans)
     assert batch.plan_templates == ref.plan_templates
     assert batch.plan_stricts == ref.plan_stricts
-    assert len(batch.plan_sig_codes) == len(ref.plan_sig_codes)
-    for mine, theirs in zip(batch.plan_sig_codes, ref.plan_sig_codes):
+    for name in ("sig_codes", "sig_offsets"):
+        mine, theirs = getattr(batch, name), getattr(ref, name)
         assert np.array_equal(mine, theirs)
         assert mine.dtype == theirs.dtype
     assert batch.sig_names == ref.sig_names
