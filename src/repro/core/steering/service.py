@@ -168,10 +168,23 @@ class SteeringReport:
 
 
 class SteeringService(AutonomousService):
-    """Per-template steering with exploration, validation, and rollback."""
+    """Per-template steering with exploration, validation, and rollback.
+
+    Costs are memoized per ``(strict signature, config)``: recurring
+    instances of a template share a plan, so a day's head sample costs
+    a handful of distinct plans many times over.  That makes a contract
+    of what was already true of every caller: ``true_cost`` and the
+    optimizer's cardinality model must be pure functions of plan
+    structure (both default estimators memoize per strict signature over
+    a fixed catalog).
+    """
 
     service_name = "steering"
     layer = "service"
+
+    #: Bound on memoized costs (FIFO-evicted beyond it; re-costing an
+    #: evicted pair gives the same number, so the cap only bounds memory).
+    _COST_CAP = 4096
 
     def __init__(
         self,
@@ -200,6 +213,7 @@ class SteeringService(AutonomousService):
         self._rng = np.random.default_rng(rng)
         self._states: dict[str, _TemplateState] = {}
         self._outcomes: list[SteeringOutcome] = []
+        self._costs: dict[tuple[str, RuleConfig], float] = {}
         self.adoptions = 0
         self.rollbacks = 0
         #: Arm index meaning "trial nothing this round".
@@ -215,6 +229,15 @@ class SteeringService(AutonomousService):
             rng=self._rng,
         )
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_costs"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._costs = {}
+
     # -- the AutonomousService API ----------------------------------------------
     def recommend(self, template: str) -> RuleConfig:
         """The currently adopted config for a job template."""
@@ -226,15 +249,8 @@ class SteeringService(AutonomousService):
         with self._span("observe", job_id=job_id):
             template = signatures(plan).template
             state = self._state(template)
-            all_on = RuleConfig.all_on()
-            default_cost = self._evaluate(plan, all_on)
-            # Costing is deterministic: a template still on the default
-            # config would optimize and cost the same plan twice.
-            steered_cost = (
-                default_cost
-                if state.config == all_on
-                else self._evaluate(plan, state.config)
-            )
+            default_cost = self._evaluate(plan, RuleConfig.all_on())
+            steered_cost = self._evaluate(plan, state.config)
 
             experimented = False
             trial_arm = None
@@ -297,8 +313,15 @@ class SteeringService(AutonomousService):
         return state
 
     def _evaluate(self, plan: Expression, config: RuleConfig) -> float:
-        optimized = self.optimizer.optimize(plan, config).plan
-        return self.true_cost(optimized)
+        key = (signatures(plan).strict, config)
+        cost = self._costs.get(key)
+        if cost is None:
+            optimized = self.optimizer.optimize(plan, config).plan
+            cost = self.true_cost(optimized)
+            if len(self._costs) >= self._COST_CAP:
+                del self._costs[next(iter(self._costs))]
+            self._costs[key] = cost
+        return cost
 
     def _trial(
         self, state: _TemplateState, plan: Expression, current_cost: float

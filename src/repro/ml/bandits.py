@@ -110,7 +110,9 @@ class LinUCB:
 
     ``select`` takes a context vector and returns the arm maximizing the
     optimistic linear payoff estimate; ``update`` performs the closed-form
-    ridge update for the chosen arm.
+    ridge update for the chosen arm.  Each arm's ``(inv(A), inv(A) @ b)``
+    is cached until that arm's next update (pickles drop the cache), so
+    a ``select`` inverts only the arms updated since the last one.
     """
 
     def __init__(
@@ -133,6 +135,16 @@ class LinUCB:
         self._a = [np.eye(n_features) for _ in range(n_arms)]
         self._b = [np.zeros(n_features) for _ in range(n_arms)]
         self.counts = np.zeros(n_arms, dtype=int)
+        self._solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_solved"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._solved = {}
 
     def _check_context(self, context: np.ndarray) -> np.ndarray:
         ctx = np.asarray(context, dtype=float).ravel()
@@ -146,9 +158,13 @@ class LinUCB:
         """Optimistic payoff estimate for every arm given ``context``."""
         ctx = self._check_context(context)
         out = np.zeros(self.n_arms)
+        solved = self._solved
         for arm in range(self.n_arms):
-            a_inv = np.linalg.inv(self._a[arm])
-            theta = a_inv @ self._b[arm]
+            cached = solved.get(arm)
+            if cached is None:
+                a_inv = np.linalg.inv(self._a[arm])
+                cached = solved[arm] = (a_inv, a_inv @ self._b[arm])
+            a_inv, theta = cached
             out[arm] = float(
                 theta @ ctx + self.alpha * math.sqrt(ctx @ a_inv @ ctx)
             )
@@ -166,6 +182,7 @@ class LinUCB:
         self._a[arm] += np.outer(ctx, ctx)
         self._b[arm] += reward * ctx
         self.counts[arm] += 1
+        self._solved.pop(arm, None)
 
     def point_estimate(self, arm: int, context: np.ndarray) -> float:
         """Non-optimistic payoff estimate (no exploration bonus)."""

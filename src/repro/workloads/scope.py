@@ -23,11 +23,10 @@ from __future__ import annotations
 import gc
 import sys
 from binascii import hexlify
-from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha1
-from operator import attrgetter
+from operator import attrgetter, length_hint
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -399,6 +398,117 @@ class AdhocRecipe(NamedTuple):
         return root
 
 
+#: ``Generator.random()``'s scale: the top 53 bits of an output, as a
+#: double in [0, 1).
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+_LOW32 = 0xFFFFFFFF
+#: Largest range a 32-bit bounded draw covers (numpy switches to a
+#: 64-bit algorithm beyond it).
+_MAX_RANGE32 = 1 << 32
+
+
+class _RawDraws:
+    """``Generator.random()`` and ``integers(0, m)``, from raw PCG64 output.
+
+    A numpy scalar call costs microseconds of dispatch around a few
+    integer operations.  This pulls blocks of raw 64-bit outputs with
+    ``bit_generator.random_raw`` and does those operations in Python,
+    exactly as numpy's C code does them:
+
+    - ``random()`` is ``(u64 >> 11) * 2**-53``;
+    - ``integers(m)`` is numpy's 32-bit Lemire rejection sampler over
+      PCG64's half-word buffer: a 32-bit draw takes the buffered high
+      half of the previous output when one is waiting (``has_uint32``,
+      ``uinteger``), else the low half of a fresh output, buffering its
+      high half.  ``m == 1`` draws nothing.
+
+    Leaving the ``with`` block winds the generator to exactly where the
+    scalar calls would have left it: the start state, ``advance`` by the
+    outputs consumed, then the half-word buffer written back.  Nothing
+    else may draw from the generator inside the block.
+    """
+
+    __slots__ = ("_bitgen", "_start", "_block", "_drawn", "_left", "_next",
+                 "_has32", "_buf32")
+
+    def __init__(self, rng: np.random.Generator, block: int = 4096) -> None:
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(
+                "SCOPE generation draws from PCG64 output, got a "
+                f"{type(bitgen).__name__} bit generator"
+            )
+        self._bitgen = bitgen
+        self._start = bitgen.state
+        self._has32 = self._start["has_uint32"]
+        self._buf32 = self._start["uinteger"]
+        self._block = block
+        self._drawn = 0
+        self._left = iter(())
+        self._next = self._left.__next__
+
+    def __enter__(self) -> "_RawDraws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        bitgen = self._bitgen
+        bitgen.state = self._start
+        bitgen.advance(self._drawn - length_hint(self._left))
+        state = bitgen.state
+        state["has_uint32"] = self._has32
+        state["uinteger"] = self._buf32
+        bitgen.state = state
+
+    def _refill(self) -> int:
+        self._left = iter(self._bitgen.random_raw(self._block).tolist())
+        self._next = self._left.__next__
+        self._drawn += self._block
+        return self._next()
+
+    def random(self) -> float:
+        try:
+            u = self._next()
+        except StopIteration:
+            u = self._refill()
+        return (u >> 11) * _DOUBLE_SCALE
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._buf32
+        try:
+            u = self._next()
+        except StopIteration:
+            u = self._refill()
+        self._has32 = 1
+        self._buf32 = u >> 32
+        return u & _LOW32
+
+    def integers(self, m: int) -> int:
+        """A uniform draw from ``range(m)``, for ``1 <= m <= 2**32``."""
+        if not 1 < m <= _MAX_RANGE32:
+            if m == 1:
+                return 0
+            raise ValueError(f"range must be in [1, 2**32], got {m}")
+        prod = self._next32() * m
+        if prod & _LOW32 < m:
+            threshold = (_MAX_RANGE32 - m) % m
+            while prod & _LOW32 < threshold:
+                prod = self._next32() * m
+        return prod >> 32
+
+
+def _generator_at(state: dict) -> np.random.Generator:
+    """A generator positioned at a saved ``bit_generator.state``.
+
+    The seed is a placeholder the state overwrites; passing one spares
+    the OS-entropy read of an unseeded constructor.
+    """
+    bitgen = getattr(np.random, state["bit_generator"])(0)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
 class ScopeWorkloadGenerator:
     """Builds templates once, then stamps out daily jobs."""
 
@@ -436,7 +546,7 @@ class ScopeWorkloadGenerator:
         # Streaming state: the RNG position a fresh generator's first
         # ``generate()`` starts from, plus the position at the start of
         # every day already replayed — day-addressable random access.
-        self._day_states: dict[int, dict] = {0: deepcopy(self._rng.bit_generator.state)}
+        self._day_states: dict[int, dict] = {0: self._rng.bit_generator.state}
         # Fused-batch caches, all derivable from the templates above and
         # rebuilt lazily after pickling (see __getstate__): checkpoints
         # must stay manifest-sized, not carry 100k+ cached id strings.
@@ -701,8 +811,9 @@ class ScopeWorkloadGenerator:
             for t in self.templates
             if t.output_table is not None and t.template_id in template_job_ids
         ]
-        for k in range(self.adhoc_per_day):
-            jobs.append(self._adhoc_job(rng, day, k, producers))
+        draws = self._adhoc_day_draws(rng, day, producers, self.adhoc_per_day)
+        for k, drawn in enumerate(draws):
+            jobs.append(self._adhoc_job(day, k, drawn))
         jobs.sort(key=_BY_SUBMIT_HOUR)
         return jobs
 
@@ -729,25 +840,22 @@ class ScopeWorkloadGenerator:
             raise ValueError("day must be >= 0")
         rng = self._replay_to(day)
         jobs = self._generate_day(day, rng)
-        self._day_states.setdefault(day + 1, deepcopy(rng.bit_generator.state))
+        self._day_states.setdefault(day + 1, rng.bit_generator.state)
         return jobs
 
     def _replay_to(self, day: int) -> np.random.Generator:
         """An RNG positioned at the start of ``day``, caching boundaries.
 
         Intermediate days are advanced with :meth:`_skip_day` — the same
-        draw sequence as full generation (see :meth:`_adhoc_draws`)
-        without building a single ``Job`` — so random access to day *d*
-        costs O(draws), not O(objects).
+        draws as full generation (see :meth:`_adhoc_day_draws`) without
+        building a single ``Job`` — so random access to day *d* costs
+        O(draws), not O(objects).
         """
-        rng = np.random.default_rng()
         start = max(d for d in self._day_states if d <= day)
-        rng.bit_generator.state = deepcopy(self._day_states[start])
+        rng = _generator_at(self._day_states[start])
         for replay in range(start, day):
             self._skip_day(replay, rng)
-            self._day_states.setdefault(
-                replay + 1, deepcopy(rng.bit_generator.state)
-            )
+            self._day_states.setdefault(replay + 1, rng.bit_generator.state)
         return rng
 
     def _skip_day(self, day: int, rng: np.random.Generator) -> None:
@@ -756,9 +864,9 @@ class ScopeWorkloadGenerator:
         Recurring templates draw nothing at generation time, so a day's
         RNG consumption is exactly its ad-hoc draws.
         """
-        producers = self._day_producers(day)
-        for _ in range(self.adhoc_per_day):
-            self._adhoc_draws(rng, day, producers)
+        self._adhoc_day_draws(
+            rng, day, self._day_producers(day), self.adhoc_per_day
+        )
 
     def _day_producers(self, day: int) -> list[tuple[TableDef, str, float]]:
         """The (output table, first job id, hour) producer list of a day.
@@ -810,82 +918,92 @@ class ScopeWorkloadGenerator:
             self._filter_cands[table.name] = cands
         return cands
 
-    def _adhoc_draws(
+    def _adhoc_day_draws(
         self,
         rng: np.random.Generator,
         day: int,
         producers: list[tuple[TableDef, str, float]],
-    ) -> tuple[str, str, float, str | None, bool, float, tuple[str, ...]]:
-        """Every random decision one ad-hoc job makes, in draw order.
+        n: int,
+    ) -> list[tuple[str, str, float, str | None, bool, float, tuple[str, ...]]]:
+        """Every random decision of a day's ``n`` ad-hoc jobs, in draw order.
 
         This is the single source of truth for the ad-hoc RNG stream:
-        the per-job streaming path (:meth:`_adhoc_job`), the fused
-        batch path (:meth:`day_batch`), and the replay skip
-        (:meth:`_skip_day`) all consume ``rng`` through here, so every
-        path advances the generator through the *identical* sequence of
-        calls — the invariant the bit-identity pins rest on.  Returns
-        ``(table, column, value, join_table, aggregate, submit_hour,
-        depends_on)``.
+        the per-job path (:meth:`_generate_day`), the fused batch path
+        (:meth:`day_batch`), and the replay skip (:meth:`_skip_day`) all
+        consume ``rng`` through here, so every path advances the
+        generator identically — the invariant the bit-identity pins rest
+        on.  Each job's tuple is ``(table, column, value, join_table,
+        aggregate, submit_hour, depends_on)``.
 
-        ``uniform(lo, hi)`` draws are written as ``lo + (hi - lo) *
-        random()`` — the exact arithmetic ``Generator.uniform`` performs
-        on the same single draw, so the stream and the values are
-        bit-identical while skipping the broadcasting machinery (this
-        loop runs a million times a day).
+        The draws are ``Generator.random()`` and ``integers(0, m)``
+        calls, replayed from one block of raw PCG64 output by
+        :class:`_RawDraws`: the same values and the same end state as the
+        scalar calls, without their per-call dispatch (seven or so per
+        job, a million jobs a day at scale).  ``uniform(lo, hi)`` draws
+        are written as ``lo + (hi - lo) * random()``, the arithmetic
+        ``Generator.uniform`` performs on the same single draw.
         """
-        random = rng.random
-        integers = rng.integers
         base_tables = self._base_tables
-        depends: tuple[str, ...] = ()
-        submit_hour = day * HOURS_PER_DAY + 24.0 * random()
-        if producers and random() < self.config.adhoc_dependency_fraction:
-            table, producer_job, producer_hour = producers[
-                int(integers(0, len(producers)))
-            ]
-            depends = (producer_job,)
-            # A consumer cannot start before its producer ran.
-            submit_hour = day * HOURS_PER_DAY + min(
-                23.9, producer_hour + (0.5 + 3.5 * random())
-            )
-        else:
-            table = base_tables[int(integers(0, len(base_tables)))]
-        candidates = self._filter_candidates(table)
-        if candidates:
-            column = candidates[int(integers(0, len(candidates)))]
-        else:
-            column = table.columns[0]
-        value = column.low + (column.high - column.low) * random()
-        join_table = (
-            base_tables[int(integers(0, len(base_tables)))].name
-            if random() < 0.5
-            else None
-        )
-        aggregate = random() < 0.5
-        return (
-            table.name, column.name, value, join_table, aggregate,
-            submit_hour, depends,
-        )
+        n_base = len(base_tables)
+        n_producers = len(producers)
+        dependency_fraction = self.config.adhoc_dependency_fraction
+        filter_candidates = self._filter_candidates
+        day_start = day * HOURS_PER_DAY
+        out = []
+        append = out.append
+        # ~6 outputs per job.  A short block costs one more refill; the
+        # cap keeps a million-job day to one 64k-output list at a time.
+        with _RawDraws(rng, block=min(7 * n + 16, 1 << 16)) as draws:
+            random = draws.random
+            integers = draws.integers
+            for _ in range(n):
+                depends: tuple[str, ...] = ()
+                submit_hour = day_start + 24.0 * random()
+                if producers and random() < dependency_fraction:
+                    table, producer_job, producer_hour = producers[
+                        integers(n_producers)
+                    ]
+                    depends = (producer_job,)
+                    # A consumer cannot start before its producer ran.
+                    submit_hour = day_start + min(
+                        23.9, producer_hour + (0.5 + 3.5 * random())
+                    )
+                else:
+                    table = base_tables[integers(n_base)]
+                candidates = filter_candidates(table)
+                if candidates:
+                    column = candidates[integers(len(candidates))]
+                else:
+                    column = table.columns[0]
+                value = column.low + (column.high - column.low) * random()
+                join_table = (
+                    base_tables[integers(n_base)].name
+                    if random() < 0.5
+                    else None
+                )
+                aggregate = random() < 0.5
+                append((
+                    table.name, column.name, value, join_table, aggregate,
+                    submit_hour, depends,
+                ))
+        return out
 
     def _adhoc_job(
         self,
-        rng: np.random.Generator,
         day: int,
         index: int,
-        producers: list[tuple[str, str, float]],
+        drawn: tuple[str, str, float, str | None, bool, float, tuple[str, ...]],
     ) -> Job:
-        """A one-off job with randomized structure and literals.
+        """A one-off job from its draws (see :meth:`_adhoc_day_draws`).
 
         With probability ``adhoc_dependency_fraction`` the job consumes a
         pipeline's derived output table (ad-hoc analysis over production
         data), giving it an inter-job dependency.
         """
-        table, column, value, join_table, aggregate, submit_hour, depends = (
-            self._adhoc_draws(rng, day, producers)
-        )
-        recipe = AdhocRecipe(table, column, value, join_table, aggregate)
+        *recipe, submit_hour, depends = drawn
         return Job(
             job_id=f"d{day:03d}-adhoc{index:03d}",
-            plan=recipe.build(),
+            plan=AdhocRecipe._make(recipe).build(),
             submit_hour=submit_hour,
             depends_on=depends,
         )
@@ -1020,7 +1138,7 @@ class ScopeWorkloadGenerator:
         finally:
             if was_enabled:
                 gc.enable()
-        self._day_states.setdefault(day + 1, deepcopy(rng.bit_generator.state))
+        self._day_states.setdefault(day + 1, rng.bit_generator.state)
         return batch
 
     def _build_day_batch(self, day: int, rng: np.random.Generator) -> "JobBatch":
@@ -1066,15 +1184,15 @@ class ScopeWorkloadGenerator:
         rec_offsets, rec_tails = self._recurring_columns()
         rec_hours = rec_offsets + day * HOURS_PER_DAY
 
-        # Ad-hoc refs: the draws stay strictly sequential (the RNG
-        # contract — see :meth:`_adhoc_draws`), everything downstream of
-        # each draw runs on prebound locals.  The signature block mirrors
+        # Ad-hoc refs: one pass over the day's draws (the RNG contract —
+        # see :meth:`_adhoc_day_draws`), everything downstream of each
+        # draw runs on prebound locals.  The signature block mirrors
         # ``enumerate_all_signatures``'s post-order walk with setdefault
         # dedup — the joined scan re-reading the filtered base table is
         # the only duplicate a 4-node ad-hoc shape can produce.
         producers = self._day_producers(day)
         adhoc_hours = np.empty(n_adhoc, dtype=np.float64)
-        draws = self._adhoc_draws
+        day_draws = self._adhoc_day_draws(rng, day, producers, n_adhoc)
         get_shape = self._adhoc_shape
         _sha1 = sha1
         _hex = hexlify
@@ -1086,8 +1204,7 @@ class ScopeWorkloadGenerator:
         names_extend = names_flat.extend
         sizes_extend = sizes_flat.extend
         lens_append = ref_lens.append
-        for k in range(n_adhoc):
-            drawn = draws(rng, day, producers)
+        for k, drawn in enumerate(day_draws):
             table, column, value, join_table, aggregate, hour, depends = drawn
             adhoc_hours[k] = hour
             if depends:

@@ -1,11 +1,16 @@
 """Tests for the guarded rule-steering service."""
 
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.steering import SteeringService
 from repro.core.steering.service import plan_features
-from repro.engine import RuleConfig
+from repro.engine import RuleConfig, signatures
+from repro.fabric import ControlPlane, FleetConfig, build_fleet
+from repro.fabric.fleet import TrueCostFn
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +109,40 @@ class TestValidation:
         assert outcome.config == RuleConfig.all_on()
         assert len(calls) == 1
         assert outcome.steered_cost == outcome.default_cost
+
+    def test_fleet_day_optimizes_each_plan_config_pair_once(self):
+        plane = ControlPlane()
+        build_fleet(
+            plane, FleetConfig(days=2, jobs_per_day=1200, include=("steering",))
+        )
+        service = plane._binding_for("steering").driver.service
+        optimizer = service.optimizer
+        calls = Counter()
+        optimize = optimizer.optimize
+
+        def counting_optimize(plan, config=None):
+            calls[(signatures(plan).strict, config)] += 1
+            return optimize(plan, config)
+
+        optimizer.optimize = counting_optimize
+        plane.run_days(2)
+        plane.close()
+        # Two days of the 64-job head sample; without the memo every job
+        # would optimize at least once, and shared plans many times.
+        assert len(service.report().outcomes) == 2 * 64
+        assert 0 < len(calls) < 2 * 64
+        assert set(calls.values()) == {1}
+
+    def test_cost_memo_stays_out_of_pickles(self, world):
+        fresh = SteeringService(
+            world["optimizer"], TrueCostFn(world["true_cost"]), rng=0
+        )
+        for job in world["workload"].jobs[:20]:
+            fresh.observe(job.job_id, job.plan)
+        assert fresh._costs
+        restored = pickle.loads(pickle.dumps(fresh))
+        assert restored._costs == {}
+        plan = world["workload"].jobs[0].plan
+        assert restored._evaluate(plan, RuleConfig.all_on()) == (
+            fresh._evaluate(plan, RuleConfig.all_on())
+        )

@@ -1,5 +1,8 @@
 """Tests for multi-armed and contextual bandits."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,32 @@ class TestLinUCB:
             bandit.update(0, ctx, 0.0)
         after = bandit.scores(ctx)[0] - bandit.point_estimate(0, ctx)
         assert after < before
+
+    def test_cached_scores_equal_the_uncached_formula(self):
+        def uncached(bandit, ctx):
+            out = np.zeros(bandit.n_arms)
+            for arm in range(bandit.n_arms):
+                a_inv = np.linalg.inv(bandit._a[arm])
+                theta = a_inv @ bandit._b[arm]
+                out[arm] = float(
+                    theta @ ctx + bandit.alpha * math.sqrt(ctx @ a_inv @ ctx)
+                )
+            return out
+
+        rng = np.random.default_rng(4)
+        bandit = LinUCB(n_arms=5, n_features=3, alpha=0.8, rng=0)
+        for step in range(200):
+            ctx = rng.normal(size=3)
+            assert np.array_equal(bandit.scores(ctx), uncached(bandit, ctx))
+            if step % 3 != 2:
+                bandit.update(int(rng.integers(0, 5)), ctx, rng.normal())
+            if step % 50 == 49:
+                blob = pickle.dumps(bandit)
+                assert b"_solved" not in blob
+                bandit = pickle.loads(blob)
+        assert bandit._solved == {}
+        ctx = rng.normal(size=3)
+        assert np.array_equal(bandit.scores(ctx), uncached(bandit, ctx))
 
     def test_invalid_constructor_args(self):
         with pytest.raises(ValueError):
