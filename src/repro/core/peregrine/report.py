@@ -8,8 +8,6 @@ attached to capacity reviews.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.core.peregrine.analysis import analyze, shared_jobs_on_day
 from repro.core.peregrine.repository import WorkloadRepository
 
@@ -31,6 +29,8 @@ def _league_table(repo: WorkloadRepository, top: int) -> list[str]:
 
 
 def _pipeline_section(repo: WorkloadRepository) -> list[str]:
+    import networkx as nx
+
     graph = repo.dependency_graph()
     components = [
         c for c in nx.weakly_connected_components(graph) if len(c) > 1

@@ -7,11 +7,12 @@ for reuse detection, parameter vectors for micromodel features, and
 dependency edges for pipeline analysis.
 
 Storage is a :class:`JobTable` — one columnar :class:`DayChunk` per
-day (structured numpy columns over interned plan/signature/parameter
-pools) behind an LRU chunk cache that spills cold days to disk under a
-configurable memory budget.  A million-job day costs a few numpy
-arrays plus one object per *unique plan*, not one ``JobRecord`` per
-job; :class:`JobRecord` instances are materialized on demand so the
+day (numpy columns, byte blobs of ids and raw signature digests over
+interned plan and parameter pools) behind an LRU chunk cache that
+spills cold days to disk under a configurable memory budget.  A
+million-job day costs a few numpy arrays plus one object per unique
+*recurring* plan, not one ``JobRecord`` — or one string — per job;
+:class:`JobRecord` instances are materialized on demand so the
 read API (``records``, ``job``, ``by_day``, ``instances_of``) is
 unchanged for existing callers.
 
@@ -26,22 +27,28 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.engine import Expression
 from repro.engine.signatures import enumerate_all_signatures, signatures
 from repro.workloads.scope import Job, Workload
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 _FNV_OFFSET = np.uint64(14695981039346656037)
 _FNV_PRIME = np.uint64(1099511628211)
 
 
-def _hash_ids(ids: list[str]) -> np.ndarray:
-    """Vectorized FNV-1a of job-id strings, as uint64.
+def _hash_ids(ids) -> np.ndarray:
+    """Vectorized FNV-1a of job ids, as uint64.
 
+    ``ids`` is a list of ``str`` or a fixed-width byte array such as
+    :meth:`StrColumn.fixed` builds straight from a day's id blob.
     Stable across processes (unlike ``hash()``), and ~100x faster than
     per-string hashlib calls: the ids become one fixed-width byte
     matrix and the fold runs one numpy op per character column.  Hits
@@ -82,191 +89,45 @@ class JobRecord:
 
 
 # ---------------------------------------------------------------------------
-# columnar batches
+# columns
 # ---------------------------------------------------------------------------
 
-#: Resident bytes of one built plan: its Expression tree plus memoized
+#: Resident bytes of one plan tree: its Expression nodes plus memoized
 #: signature maps, calibrated against RSS deltas at 100k jobs/day
 #: (36k built plans -> ~120 MB).
 PLAN_BYTES = 2900
-#: Bytes of an empty ``str`` object; a stored ASCII id or signature
-#: name costs this plus one byte per character.
+#: Bytes of an empty ``str`` object; a stored ASCII name costs this
+#: plus one byte per character.
 _STR_BYTES = sys.getsizeof("")
+#: A signature name is the hex of an 8-byte SHA1 prefix; columns keep
+#: the raw digest, read as this dtype, and hex it only when a name is read.
+DIGEST = np.dtype("<u8")
+_U4_MAX = np.iinfo(np.uint32).max
 
 
-class PlanPool:
-    """Unique plans by plan code, each built at most once.
-
-    An entry is either an :class:`Expression` or a
-    :class:`~repro.workloads.scope.AdhocRecipe` (the SCOPE generator's
-    ad-hoc plans; ``build()`` returns the plan, ``NBYTES`` is what one
-    recipe keeps resident).
-    Indexing is the one plan accessor every reader goes through —
-    ``DayChunk.record`` and the services' head sample alike.  A recipe is
-    built on first read and the plan cached beside it, so readers of
-    one pool share one object and its memoized signatures.  Pickles
-    carry the entries only, never the built cache.
-    """
-
-    __slots__ = ("items", "_built", "_nbytes")
-
-    def __init__(self, items: list | None = None) -> None:
-        self.items: list = [] if items is None else items
-        self._built: dict[int, Expression] = {}
-        self._nbytes: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __getitem__(self, code: int) -> Expression:
-        item = self.items[code]
-        if isinstance(item, Expression):
-            return item
-        plan = self._built.get(code)
-        if plan is None:
-            plan = self._built[code] = item.build()
-            if self._nbytes is not None:
-                self._nbytes += PLAN_BYTES
-        return plan
-
-    def append(self, plan: Expression) -> None:
-        self.items.append(plan)
-        self._nbytes = None
-
-    def extend(self, other: "PlanPool") -> None:
-        """Append ``other``'s entries, sharing the plans it already built."""
-        base = len(self.items)
-        self.items.extend(other.items)
-        for code, plan in other._built.items():
-            self._built[base + code] = plan
-        self._nbytes = None
-
-    def nbytes(self) -> int:
-        """Recipes at their own size, plans at :data:`PLAN_BYTES` each."""
-        if self._nbytes is None:
-            recipes = [
-                item for item in self.items
-                if not isinstance(item, Expression)
-            ]
-            n_plans = len(self.items) - len(recipes) + len(self._built)
-            self._nbytes = 8 * len(self.items) + PLAN_BYTES * n_plans
-            if recipes:
-                self._nbytes += recipes[0].NBYTES * len(recipes)
-        return self._nbytes
-
-    def __reduce__(self):
-        return PlanPool, (self.items,)
+def digests_of(names: list[str]) -> np.ndarray:
+    """Signature names (16 hex characters each) as raw 8-byte digests."""
+    if any(len(name) != 16 for name in names):
+        raise ValueError("a signature name is 16 hex characters")
+    return np.frombuffer(bytes.fromhex("".join(names)), dtype=DIGEST)
 
 
-@dataclass
-class JobBatch:
-    """One day's jobs, pre-flattened into columns for bulk ingest.
-
-    The expensive per-*plan* work (signature enumeration) happens once
-    here, at construction; :meth:`WorkloadRepository.ingest_batch` then
-    appends pure columns.  Recurring instances that share a plan object
-    share one entry in ``plans`` — the columnar win that makes 100k+
-    job days cheap.  Plan ``p``'s strict-signature codes (walk order)
-    are ``sig_codes[sig_offsets[p]:sig_offsets[p + 1]]``.
-    """
-
-    day: int
-    job_ids: list[str]
-    submit_hours: np.ndarray               # f8, one per job
-    plan_codes: np.ndarray                 # u4 into plans, one per job
-    param_codes: np.ndarray                # u4 into params_pool, one per job
-    plans: PlanPool
-    plan_templates: list[str]
-    plan_stricts: list[str]
-    sig_codes: np.ndarray                  # u4 into the batch sig pool, flat
-    sig_offsets: np.ndarray                # i8, len(plans) + 1
-    sig_names: list[str]                   # batch-local strict-sig pool,
-    sig_sizes: list[int]                   # first-sighting order across plans
-    params_pool: list[dict]
-    deps_map: dict[int, tuple[str, ...]]   # sparse: row -> depends_on
-
-    def __len__(self) -> int:
-        return len(self.job_ids)
-
-    @classmethod
-    def from_jobs(cls, jobs: list[Job], day: int | None = None) -> "JobBatch":
-        """Columnarize ``jobs`` (all from one day, in ingestion order)."""
-        if not jobs:
-            raise ValueError("cannot build an empty JobBatch")
-        batch_day = jobs[0].day if day is None else day
-        job_ids: list[str] = []
-        hours = np.empty(len(jobs), dtype=np.float64)
-        plan_codes = np.empty(len(jobs), dtype=np.uint32)
-        param_codes = np.empty(len(jobs), dtype=np.uint32)
-        plans = PlanPool()
-        plan_templates: list[str] = []
-        plan_stricts: list[str] = []
-        sig_codes: list[int] = []
-        sig_offsets = [0]
-        sig_names: list[str] = []
-        sig_sizes: list[int] = []
-        params_pool: list[dict] = []
-        deps_map: dict[int, tuple[str, ...]] = {}
-        plan_index: dict[int, int] = {}
-        sig_index: dict[str, int] = {}
-        param_index: dict[tuple, int] = {}
-        for row, job in enumerate(jobs):
-            if job.day != batch_day:
-                raise ValueError(
-                    f"job {job.job_id!r} is on day {job.day}, batch is day"
-                    f" {batch_day}: batches are per-day"
-                )
-            code = plan_index.get(id(job.plan))
-            if code is None:
-                code = len(plans)
-                plan_index[id(job.plan)] = code
-                strict_map, _template_map = enumerate_all_signatures(job.plan)
-                sigs = signatures(job.plan)
-                plans.append(job.plan)
-                plan_templates.append(sigs.template)
-                plan_stricts.append(sigs.strict)
-                for name, node in strict_map.items():
-                    sig_code = sig_index.get(name)
-                    if sig_code is None:
-                        sig_code = len(sig_names)
-                        sig_index[name] = sig_code
-                        sig_names.append(name)
-                        sig_sizes.append(node.size)
-                    sig_codes.append(sig_code)
-                sig_offsets.append(len(sig_codes))
-            plan_codes[row] = code
-            pkey = (code,) + tuple(job.params.items())
-            pcode = param_index.get(pkey)
-            if pcode is None:
-                pcode = len(params_pool)
-                param_index[pkey] = pcode
-                params_pool.append(dict(job.params))
-            param_codes[row] = pcode
-            job_ids.append(job.job_id)
-            hours[row] = job.submit_hour
-            if job.depends_on:
-                deps_map[row] = tuple(job.depends_on)
-        return cls(
-            day=batch_day,
-            job_ids=job_ids,
-            submit_hours=hours,
-            plan_codes=plan_codes,
-            param_codes=param_codes,
-            plans=plans,
-            plan_templates=plan_templates,
-            plan_stricts=plan_stricts,
-            sig_codes=np.asarray(sig_codes, dtype=np.uint32),
-            sig_offsets=np.asarray(sig_offsets, dtype=np.int64),
-            sig_names=sig_names,
-            sig_sizes=sig_sizes,
-            params_pool=params_pool,
-            deps_map=deps_map,
-        )
+def hex_names(digests: np.ndarray) -> list[str]:
+    """The signature names of raw digests (inverse of :func:`digests_of`)."""
+    text = np.ascontiguousarray(digests, dtype=DIGEST).tobytes().hex()
+    return [text[i:i + 16] for i in range(0, len(text), 16)]
 
 
-# ---------------------------------------------------------------------------
-# day chunks
-# ---------------------------------------------------------------------------
+def _hex_at(digests: np.ndarray, code: int) -> str:
+    return digests[code:code + 1].tobytes().hex()
+
+
+def _sig_sizes(values) -> np.ndarray:
+    """Subexpression node counts as the pool's small-int column."""
+    sizes = np.asarray(values, dtype=np.int64)
+    if len(sizes) and int(sizes.max()) > np.iinfo(np.uint16).max:
+        raise ValueError("subexpression larger than 65535 nodes")
+    return sizes.astype(np.uint16)
 
 
 class _Column:
@@ -319,68 +180,591 @@ class _Column:
         return self._n * self.dtype.itemsize
 
 
+class StrColumn:
+    """ASCII strings as one byte blob plus ``u4`` end offsets.
+
+    A day's job ids cost their bytes plus four each instead of a
+    ``str`` object each, pickle as two buffers, and give the cyclic GC
+    nothing to traverse.  Strings are decoded only when read.
+    """
+
+    __slots__ = ("blob", "ends")
+
+    def __init__(self) -> None:
+        self.blob = _Column(np.uint8)
+        self.ends = _Column(np.uint32)
+
+    @classmethod
+    def from_strs(cls, strs: list[str]) -> "StrColumn":
+        column = cls()
+        column.extend_strs(strs)
+        return column
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def _add(self, blob: np.ndarray, ends: np.ndarray) -> None:
+        """Append strings given as bytes plus ends relative to ``blob``."""
+        base = len(self.blob)
+        if len(ends) and base + int(ends[-1]) > _U4_MAX:
+            raise ValueError("string column larger than 4 GiB")
+        self.blob.extend(blob)
+        self.ends.extend(ends + base if base else ends)
+
+    def extend_strs(self, strs: list[str]) -> None:
+        if not strs:
+            return
+        blob = np.frombuffer("".join(strs).encode("ascii"), dtype=np.uint8)
+        lens = np.fromiter(map(len, strs), dtype=np.int64, count=len(strs))
+        self._add(blob, np.cumsum(lens))
+
+    def append(self, value: str) -> None:
+        self.extend_strs([value])
+
+    def extend(self, other: "StrColumn") -> None:
+        self._add(other.blob.array(), other.ends.array().astype(np.int64))
+
+    def __getitem__(self, row: int) -> str:
+        ends = self.ends.array()
+        start = int(ends[row - 1]) if row else 0
+        return self.blob.array()[start:int(ends[row])].tobytes().decode("ascii")
+
+    def tolist(self, n: int | None = None) -> list[str]:
+        """The first ``n`` strings (all by default), decoded."""
+        ends = self.ends.array()[:n].tolist()
+        if not ends:
+            return []
+        text = self.blob.array()[:ends[-1]].tobytes().decode("ascii")
+        return [text[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+    def fixed(self) -> np.ndarray:
+        """The strings as one null-padded fixed-width ``S`` array."""
+        ends = self.ends.array().astype(np.int64)
+        if not len(ends):
+            return np.empty(0, dtype="S1")
+        lens = np.diff(ends, prepend=0)
+        width = max(int(lens.max()), 1)
+        blob = self.blob.array()
+        if int(lens.min()) == width:
+            matrix = blob.reshape(len(ends), width)
+        else:
+            # Row-major, the kept cells are exactly the blob's bytes.
+            matrix = np.zeros((len(ends), width), dtype=np.uint8)
+            matrix[np.arange(width) < lens[:, None]] = blob
+        return np.ascontiguousarray(matrix).view(f"S{width}").ravel()
+
+    def nbytes(self) -> int:
+        return self.blob.nbytes() + self.ends.nbytes()
+
+    def __getstate__(self) -> tuple:
+        return self.blob.array(), self.ends.array()
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__()
+        blob, ends = state
+        self.blob.extend(blob)
+        self.ends.extend(ends)
+
+
+class DepsCSR:
+    """Sparse dependency lists: consumer rows plus their ids, as a CSR.
+
+    ``rows`` ascend; row ``rows[i]`` depends on
+    ``ids[offsets[i]:offsets[i + 1]]``.
+    """
+
+    __slots__ = ("rows", "offsets", "ids")
+
+    def __init__(self) -> None:
+        self.rows = _Column(np.uint32)
+        self.offsets = _Column(np.uint32, np.zeros(1, dtype=np.uint32))
+        self.ids = StrColumn()
+
+    @classmethod
+    def from_lists(cls, rows, lists: list[tuple[str, ...]]) -> "DepsCSR":
+        """Consumer ``rows`` (ascending) and each one's ``depends_on``."""
+        deps = cls()
+        if len(rows):
+            deps.rows.extend(np.asarray(rows, dtype=np.int64))
+            lens = np.fromiter(map(len, lists), np.int64, len(lists))
+            deps.offsets.extend(np.cumsum(lens))
+            deps.ids.extend_strs(list(chain.from_iterable(lists)))
+        return deps
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def append(self, row: int, depends_on: tuple[str, ...]) -> None:
+        self.rows.append(row)
+        self.ids.extend_strs(list(depends_on))
+        self.offsets.append(len(self.ids))
+
+    def extend(self, other: "DepsCSR", base_row: int) -> None:
+        if not len(other):
+            return
+        self.rows.extend(other.rows.array().astype(np.int64) + base_row)
+        self.offsets.extend(
+            other.offsets.array()[1:].astype(np.int64) + len(self.ids)
+        )
+        self.ids.extend(other.ids)
+
+    def get(self, row: int) -> tuple[str, ...]:
+        rows = self.rows.array()
+        at = int(rows.searchsorted(row))
+        if at == len(rows) or int(rows[at]) != row:
+            return ()
+        offsets = self.offsets.array()
+        return tuple(
+            self.ids[k] for k in range(int(offsets[at]), int(offsets[at + 1]))
+        )
+
+    def items(self) -> list[tuple[int, tuple[str, ...]]]:
+        """Every ``(row, depends_on)`` pair, in row order."""
+        ids = self.ids.tolist()
+        offsets = self.offsets.array().tolist()
+        return [
+            (row, tuple(ids[offsets[i]:offsets[i + 1]]))
+            for i, row in enumerate(self.rows.array().tolist())
+        ]
+
+    def nbytes(self) -> int:
+        return self.rows.nbytes() + self.offsets.nbytes() + self.ids.nbytes()
+
+    def __getstate__(self) -> tuple:
+        return self.rows.array(), self.offsets.array(), self.ids
+
+    def __setstate__(self, state: tuple) -> None:
+        rows, offsets, self.ids = state
+        self.rows = _Column(np.uint32, rows)
+        self.offsets = _Column(np.uint32, offsets)
+
+
 def _strs_nbytes(strings: list[str]) -> int:
     """Resident bytes of a list of distinct ASCII strings."""
     return (8 + _STR_BYTES) * len(strings) + sum(map(len, strings))
 
 
+def _dict_nbytes(params: dict) -> int:
+    """A parameter dict plus its float values."""
+    return sys.getsizeof(params) + 24 * len(params)
+
+
+class ParamPool:
+    """Parameter dicts by param code; only non-empty ones are stored.
+
+    An ad-hoc job has no parameters, so most codes of a day read as
+    ``{}`` without an object each.
+    """
+
+    __slots__ = ("n", "dicts")
+
+    def __init__(self, n: int = 0, dicts: dict[int, dict] | None = None) -> None:
+        self.n = n
+        self.dicts: dict[int, dict] = {} if dicts is None else dicts
+
+    @classmethod
+    def from_list(cls, pool: list[dict]) -> "ParamPool":
+        return cls(len(pool), {c: dict(p) for c, p in enumerate(pool) if p})
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, code: int) -> dict:
+        """Code ``code``'s dict (shared: callers copy before mutating)."""
+        if not 0 <= code < self.n:
+            raise IndexError(code)
+        return self.dicts.get(code) or {}
+
+    def last_equal(self, params: dict) -> int | None:
+        """The highest code whose dict equals ``params``, if any."""
+        if params:
+            for code, stored in reversed(self.dicts.items()):
+                if stored == params:
+                    return code
+            return None
+        for code in range(self.n - 1, -1, -1):
+            if code not in self.dicts:
+                return code
+        return None
+
+    def append(self, params: dict) -> int:
+        if params:
+            self.dicts[self.n] = dict(params)
+        self.n += 1
+        return self.n - 1
+
+    def extend(self, other: "ParamPool") -> None:
+        base = self.n
+        for code, params in other.dicts.items():
+            self.dicts[base + code] = dict(params)
+        self.n += other.n
+
+    def nbytes(self) -> int:
+        return sys.getsizeof(self.dicts) + sum(
+            map(_dict_nbytes, self.dicts.values())
+        )
+
+    def __getstate__(self) -> tuple:
+        return self.n, self.dicts
+
+    def __setstate__(self, state: tuple) -> None:
+        self.n, self.dicts = state
+
+
+#: One ad-hoc recipe row: table and column codes into the pool's name
+#: list, the predicate literal, the join table's code (-1: no join) and
+#: the aggregate flag.
+_RECIPE = np.dtype([
+    ("table", "<i4"), ("column", "<i4"), ("value", "<f8"), ("join", "<i4"),
+    ("aggregate", "?"),
+])
+
+
+class PlanPool:
+    """Unique plans by plan code, each built at most once.
+
+    A code is one of two kinds of entry.  An object entry is a plan
+    tree (a recurring template's instance), held in ``objects``.  Every
+    other code is an ad-hoc recipe (see
+    :class:`~repro.workloads.scope.AdhocRecipe`): one row of the
+    ``recipes`` column, its names coded into the small ``names`` pool.
+    Indexing is the one plan accessor every reader goes through —
+    ``DayChunk.record`` and the services' head sample alike.  A recipe is
+    built on first read and the plan cached beside it, so readers of
+    one pool share one object and its memoized signatures.  Pickles
+    carry objects, names and the column only, never the built cache.
+    """
+
+    __slots__ = ("objects", "names", "recipes", "_name_index", "_built", "_nbytes")
+
+    def __init__(self, items: list | None = None) -> None:
+        self.objects: dict[int, Expression] = {}
+        self.names: list[str] = []
+        self.recipes = _Column(_RECIPE)
+        self._name_index: dict[str, int] | None = {}
+        self._built: dict[int, Expression] = {}
+        self._nbytes: int | None = None
+        if items:
+            # Plans and recipes as one list: tests and pre-column files.
+            objects = {
+                code: item
+                for code, item in enumerate(items)
+                if isinstance(item, Expression)
+            }
+            codes = [code for code in range(len(items)) if code not in objects]
+            self._fill(len(items), objects, codes, [items[c] for c in codes])
+
+    @classmethod
+    def with_recipes(
+        cls,
+        n: int,
+        objects: dict[int, Expression],
+        codes,
+        recipes: list[tuple],
+    ) -> "PlanPool":
+        """``n`` entries: ``objects`` by code, recipe ``k`` at ``codes[k]``.
+
+        A recipe is any tuple starting ``(table, column, value,
+        join_table, aggregate)``; later fields are ignored.
+        """
+        pool = cls()
+        pool._fill(n, objects, codes, recipes)
+        return pool
+
+    def _fill(self, n: int, objects: dict, codes, recipes: list[tuple]) -> None:
+        self.objects = objects
+        rows = np.zeros(n, dtype=_RECIPE)
+        if recipes:
+            order = np.argsort(codes, kind="stable")
+            ordered = [recipes[k] for k in order.tolist()]
+            # Names intern in code order, as appends would: each
+            # recipe's table, column and join table in turn.
+            names: list[str | None] = [None] * (3 * len(ordered))
+            names[0::3] = [recipe[0] for recipe in ordered]
+            names[1::3] = [recipe[1] for recipe in ordered]
+            names[2::3] = [recipe[3] for recipe in ordered]
+            self.names = [n for n in dict.fromkeys(names) if n is not None]
+            index = self._name_index = {
+                name: code for code, name in enumerate(self.names)
+            }
+            # No join table (None) codes as -1.
+            coded = np.fromiter(
+                map(index.get, names, repeat(-1)), np.int32, len(names)
+            ).reshape(-1, 3)
+            at = np.asarray(codes)[order]
+            for k, field in enumerate(("table", "column", "join")):
+                rows[field][at] = coded[:, k]
+            rows["value"][at] = [recipe[2] for recipe in ordered]
+            rows["aggregate"][at] = [recipe[4] for recipe in ordered]
+        self.recipes.extend(rows)
+
+    def __len__(self) -> int:
+        return len(self.recipes)
+
+    def _name_code(self, name: str) -> int:
+        if self._name_index is None:
+            self._name_index = {n: i for i, n in enumerate(self.names)}
+        code = self._name_index.get(name)
+        if code is None:
+            code = self._name_index[name] = len(self.names)
+            self.names.append(name)
+        return code
+
+    def append(self, plan: Expression) -> None:
+        """Add an object entry (its recipe row stays zero)."""
+        self.objects[len(self)] = plan
+        self.recipes.append((0, 0, 0.0, 0, False))
+        self._nbytes = None
+
+    def extend(self, other: "PlanPool") -> None:
+        """Append ``other``'s entries, sharing the plans it already built."""
+        base = len(self)
+        for code, plan in other.objects.items():
+            self.objects[base + code] = plan
+        remap = np.fromiter(
+            map(self._name_code, other.names), np.int32, len(other.names)
+        )
+        # Trailing -1: a join code of -1 (no join) indexes it and stays -1.
+        remap = np.append(remap, np.int32(-1))
+        rows = other.recipes.array().copy()
+        for field in ("table", "column", "join"):
+            rows[field] = remap[rows[field]]
+        self.recipes.extend(rows)
+        for code, plan in other._built.items():
+            self._built[base + code] = plan
+        self._nbytes = None
+
+    def recipe(self, code: int):
+        """The :class:`~repro.workloads.scope.AdhocRecipe` at ``code``, or
+        ``None`` for an object entry."""
+        from repro.workloads.scope import AdhocRecipe
+
+        if code in self.objects:
+            return None
+        if not 0 <= code < len(self):
+            raise IndexError(code)
+        table, column, value, join, aggregate = self.recipes.array()[code].tolist()
+        names = self.names
+        return AdhocRecipe(
+            names[table],
+            names[column],
+            value,
+            None if join < 0 else names[join],
+            aggregate,
+        )
+
+    def __getitem__(self, code: int) -> Expression:
+        plan = self.objects.get(code)
+        if plan is not None:
+            return plan
+        plan = self._built.get(code)
+        if plan is None:
+            plan = self._built[code] = self.recipe(code).build()
+            if self._nbytes is not None:
+                self._nbytes += PLAN_BYTES
+        return plan
+
+    def nbytes(self) -> int:
+        """Recipes exactly, names as strings, each tree at :data:`PLAN_BYTES`."""
+        if self._nbytes is None:
+            n_trees = len(self.objects) + len(self._built)
+            self._nbytes = (
+                self.recipes.nbytes()
+                + _strs_nbytes(self.names)
+                + sys.getsizeof(self.objects)
+                + PLAN_BYTES * n_trees
+            )
+        return self._nbytes
+
+    def __getstate__(self) -> dict:
+        return {
+            "objects": self.objects,
+            "names": self.names,
+            "recipes": self.recipes.array(),
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self.objects = state["objects"]
+        self.names = state["names"]
+        self._name_index = None
+        self.recipes.extend(state["recipes"])
+
+
+@dataclass
+class JobBatch:
+    """One day's jobs, pre-flattened into columns for bulk ingest.
+
+    The expensive per-*plan* work (signature enumeration) happens once
+    here, at construction; :meth:`WorkloadRepository.ingest_batch` then
+    appends pure columns.  Recurring instances that share a plan object
+    share one entry in ``plans`` — the columnar win that makes 100k+
+    job days cheap.  Plan ``p``'s strict-signature codes (walk order)
+    are ``sig_codes[sig_offsets[p]:sig_offsets[p + 1]]``.  Signatures
+    are raw 8-byte digests (:func:`hex_names` gives the names).
+    """
+
+    day: int
+    ids: StrColumn                         # job ids, one per job
+    submit_hours: np.ndarray               # f8, one per job
+    plan_codes: np.ndarray                 # u4 into plans, one per job
+    param_codes: np.ndarray                # u4 into params, one per job
+    plans: PlanPool
+    template_digests: np.ndarray           # <u8, one per plan
+    strict_digests: np.ndarray             # <u8, one per plan
+    sig_codes: np.ndarray                  # u4 into the batch sig pool, flat
+    sig_offsets: np.ndarray                # i8, len(plans) + 1
+    sig_digests: np.ndarray                # <u8 batch-local strict-sig pool,
+    sig_sizes: np.ndarray                  # u2; first-sighting order
+    params: ParamPool
+    deps: DepsCSR                          # sparse: row -> depends_on
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def job_id(self, row: int) -> str:
+        return self.ids[row]
+
+    @classmethod
+    def from_jobs(cls, jobs: list[Job], day: int | None = None) -> "JobBatch":
+        """Columnarize ``jobs`` (all from one day, in ingestion order)."""
+        if not jobs:
+            raise ValueError("cannot build an empty JobBatch")
+        batch_day = jobs[0].day if day is None else day
+        job_ids: list[str] = []
+        hours = np.empty(len(jobs), dtype=np.float64)
+        plan_codes = np.empty(len(jobs), dtype=np.uint32)
+        param_codes = np.empty(len(jobs), dtype=np.uint32)
+        plans = PlanPool()
+        plan_templates: list[str] = []
+        plan_stricts: list[str] = []
+        sig_codes: list[int] = []
+        sig_offsets = [0]
+        sig_names: list[str] = []
+        sig_sizes: list[int] = []
+        params = ParamPool()
+        dep_rows: list[int] = []
+        dep_lists: list[tuple[str, ...]] = []
+        plan_index: dict[int, int] = {}
+        sig_index: dict[str, int] = {}
+        param_index: dict[tuple, int] = {}
+        for row, job in enumerate(jobs):
+            if job.day != batch_day:
+                raise ValueError(
+                    f"job {job.job_id!r} is on day {job.day}, batch is day"
+                    f" {batch_day}: batches are per-day"
+                )
+            code = plan_index.get(id(job.plan))
+            if code is None:
+                code = len(plans)
+                plan_index[id(job.plan)] = code
+                strict_map, _template_map = enumerate_all_signatures(job.plan)
+                sigs = signatures(job.plan)
+                plans.append(job.plan)
+                plan_templates.append(sigs.template)
+                plan_stricts.append(sigs.strict)
+                for name, node in strict_map.items():
+                    sig_code = sig_index.get(name)
+                    if sig_code is None:
+                        sig_code = len(sig_names)
+                        sig_index[name] = sig_code
+                        sig_names.append(name)
+                        sig_sizes.append(node.size)
+                    sig_codes.append(sig_code)
+                sig_offsets.append(len(sig_codes))
+            plan_codes[row] = code
+            pkey = (code,) + tuple(job.params.items())
+            pcode = param_index.get(pkey)
+            if pcode is None:
+                pcode = param_index[pkey] = params.append(job.params)
+            param_codes[row] = pcode
+            job_ids.append(job.job_id)
+            hours[row] = job.submit_hour
+            if job.depends_on:
+                dep_rows.append(row)
+                dep_lists.append(tuple(job.depends_on))
+        return cls(
+            day=batch_day,
+            ids=StrColumn.from_strs(job_ids),
+            submit_hours=hours,
+            plan_codes=plan_codes,
+            param_codes=param_codes,
+            plans=plans,
+            template_digests=digests_of(plan_templates),
+            strict_digests=digests_of(plan_stricts),
+            sig_codes=np.asarray(sig_codes, dtype=np.uint32),
+            sig_offsets=np.asarray(sig_offsets, dtype=np.int64),
+            sig_digests=digests_of(sig_names),
+            sig_sizes=_sig_sizes(sig_sizes),
+            params=params,
+            deps=DepsCSR.from_lists(dep_rows, dep_lists),
+        )
+
+
+# ---------------------------------------------------------------------------
+# day chunks
+# ---------------------------------------------------------------------------
+
+
 class DayChunk:
     """One day's columnar job table plus its interned pools.
 
-    Everything a day needs travels together — columns, unique plans,
-    the signature pool as flat codes plus per-plan offsets (a CSR),
-    parameter pool, and sparse dependency map — so a chunk spills to
-    disk and reloads as one self-contained pickle.  The plan pool keeps
-    ad-hoc plans as recipes, so a spilled day stores their five draws,
-    not plan trees.  Chunks only ever grow by appending rows, so
+    Everything a day needs travels together — numeric columns, job ids
+    as one byte blob, the plan pool (recurring trees plus a column of
+    ad-hoc recipes), the signature pool as raw digests with flat codes
+    plus per-plan offsets (a CSR), the sparse parameter pool, and a
+    dependency CSR — so a chunk spills to disk and reloads as one
+    self-contained pickle of a few buffers.  Per-row state is arrays
+    only: a day's Python objects are its recurring plans and their
+    parameter dicts.  Chunks only ever grow by appending rows, so
     ``(day, n)`` names exactly one content; :class:`JobTable` relies on
     that to write each version of a day to disk at most once.
     """
 
     __slots__ = (
-        "day", "job_ids", "submit_hours", "plan_codes", "param_codes",
-        "plans", "plan_templates", "plan_stricts", "sig_codes",
-        "sig_offsets", "sig_names", "sig_sizes", "params_pool", "deps_map",
+        "day", "ids", "submit_hours", "plan_codes", "param_codes",
+        "plans", "template_digests", "strict_digests", "sig_codes",
+        "sig_offsets", "sig_digests", "sig_sizes", "params", "deps",
         "_sig_index", "_filtered_cache", "_sig_bytes", "_nbytes_cache",
     )
 
     def __init__(self, day: int) -> None:
         self.day = day
-        self.job_ids: list[str] = []
+        self.ids = StrColumn()
         self.submit_hours = _Column(np.float64)
         self.plan_codes = _Column(np.uint32)
         self.param_codes = _Column(np.uint32)
         self.plans = PlanPool()
-        self.plan_templates: list[str] = []
-        self.plan_stricts: list[str] = []
+        self.template_digests = _Column(DIGEST)
+        self.strict_digests = _Column(DIGEST)
         self.sig_codes = _Column(np.uint32)
         self.sig_offsets = _Column(np.int64, np.zeros(1, dtype=np.int64))
-        self.sig_names: list[str] = []
-        self.sig_sizes: list[int] = []
-        self.params_pool: list[dict] = []
-        self.deps_map: dict[int, tuple[str, ...]] = {}
-        self._sig_index: dict[str, int] | None = {}
+        self.sig_digests = _Column(DIGEST)
+        self.sig_sizes = _Column(np.uint16)
+        self.params = ParamPool()
+        self.deps = DepsCSR()
+        self._sig_index: dict[int, int] | None = {}
         self._filtered_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._sig_bytes: np.ndarray | None = None
         self._nbytes_cache: int | None = None
 
     @property
     def n(self) -> int:
-        return len(self.job_ids)
+        return len(self.ids)
+
+    def job_id(self, row: int) -> str:
+        return self.ids[row]
 
     # -- interning -----------------------------------------------------------
-    def _sig_lookup(self) -> dict[str, int]:
+    def _intern_sig(self, digest: int, size: int) -> int:
         if self._sig_index is None:
-            self._sig_index = {s: i for i, s in enumerate(self.sig_names)}
-        return self._sig_index
-
-    def _intern_sig(self, name: str, size: int) -> int:
-        index = self._sig_lookup()
-        code = index.get(name)
+            self._sig_index = {
+                d: i for i, d in enumerate(self.sig_digests.array().tolist())
+            }
+        code = self._sig_index.get(digest)
         if code is None:
-            code = len(self.sig_names)
-            index[name] = code
-            self.sig_names.append(name)
+            code = self._sig_index[digest] = len(self.sig_digests)
+            self.sig_digests.append(digest)
             self.sig_sizes.append(size)
         return code
 
@@ -399,22 +783,20 @@ class DayChunk:
     ) -> int:
         code = len(self.plans)
         self.plans.append(plan)
-        self.plan_templates.append(template)
-        self.plan_stricts.append(strict)
+        template_digest, strict_digest = digests_of([template, strict]).tolist()
+        self.template_digests.append(template_digest)
+        self.strict_digests.append(strict_digest)
         append = self.sig_codes.append
-        for name, size in zip(sig_names, sig_sizes):
-            append(self._intern_sig(name, size))
+        for digest, size in zip(digests_of(sig_names).tolist(), sig_sizes):
+            append(self._intern_sig(digest, size))
         self.sig_offsets.append(len(self.sig_codes))
         return code
 
     def add_params(self, plan_code: int, params: dict) -> int:
-        # Parameter dicts are interned per (plan, contents): recurring
-        # instances share one dict, ad-hoc jobs get their own.
-        for code in range(len(self.params_pool) - 1, -1, -1):
-            if self.params_pool[code] == params:
-                return code
-        self.params_pool.append(dict(params))
-        return len(self.params_pool) - 1
+        # Parameter dicts are interned by contents: recurring instances
+        # share one code, as do jobs without parameters.
+        code = self.params.last_equal(params)
+        return self.params.append(params) if code is None else code
 
     # -- appends -------------------------------------------------------------
     def append_row(
@@ -426,80 +808,116 @@ class DayChunk:
         depends_on: tuple[str, ...],
     ) -> int:
         row = self.n
-        self.job_ids.append(job_id)
+        self.ids.append(job_id)
         self.submit_hours.append(submit_hour)
         self.plan_codes.append(plan_code)
         self.param_codes.append(param_code)
         if depends_on:
-            self.deps_map[row] = tuple(depends_on)
+            self.deps.append(row, tuple(depends_on))
         self._invalidate()
         return row
 
     def append_batch(self, batch: JobBatch) -> None:
         base_row = self.n
-        plan_offset = np.uint32(len(self.plans))
         if not len(self.plans):
             # Fresh chunk (the one-batch-per-day hot path): adopt the
             # batch's pre-interned pools and code arrays wholesale —
             # zero per-sig work.
-            self.sig_names = list(batch.sig_names)
-            self.sig_sizes = list(batch.sig_sizes)
+            self.sig_digests = _Column(DIGEST, batch.sig_digests)
+            self.sig_sizes = _Column(np.uint16, batch.sig_sizes)
             self._sig_index = None
             self.sig_codes = _Column(np.uint32, batch.sig_codes)
             self.sig_offsets = _Column(np.int64, batch.sig_offsets)
         else:
             remap = np.fromiter(
                 (
-                    self._intern_sig(name, size)
-                    for name, size in zip(batch.sig_names, batch.sig_sizes)
+                    self._intern_sig(digest, size)
+                    for digest, size in zip(
+                        batch.sig_digests.tolist(), batch.sig_sizes.tolist()
+                    )
                 ),
                 dtype=np.uint32,
-                count=len(batch.sig_names),
+                count=len(batch.sig_digests),
             )
             sig_base = len(self.sig_codes)
             self.sig_codes.extend(remap[batch.sig_codes])
             self.sig_offsets.extend(batch.sig_offsets[1:] + sig_base)
+        plan_offset = np.uint32(len(self.plans))
         self.plans.extend(batch.plans)
-        self.plan_templates.extend(batch.plan_templates)
-        self.plan_stricts.extend(batch.plan_stricts)
-        param_offset = np.uint32(len(self.params_pool))
-        self.params_pool.extend(dict(p) for p in batch.params_pool)
-        self.job_ids.extend(batch.job_ids)
+        self.template_digests.extend(batch.template_digests)
+        self.strict_digests.extend(batch.strict_digests)
+        param_offset = np.uint32(len(self.params))
+        self.params.extend(batch.params)
+        self.ids.extend(batch.ids)
         self.submit_hours.extend(batch.submit_hours)
         self.plan_codes.extend(batch.plan_codes + plan_offset)
         self.param_codes.extend(batch.param_codes + param_offset)
-        for row, deps in batch.deps_map.items():
-            self.deps_map[base_row + row] = deps
+        self.deps.extend(batch.deps, base_row)
         self._invalidate()
 
     # -- reads ---------------------------------------------------------------
     def record(self, row: int) -> JobRecord:
-        plan_code = int(self.plan_codes.array()[row])
+        code = int(self.plan_codes.array()[row])
+        return self._record(
+            code,
+            self.ids[row],
+            float(self.submit_hours.array()[row]),
+            _hex_at(self.template_digests.array(), code),
+            _hex_at(self.strict_digests.array(), code),
+            int(self.param_codes.array()[row]),
+            self.deps.get(row),
+        )
+
+    def iter_records(self):
+        """Every row's record in order, each column decoded once."""
+        deps = dict(self.deps.items())
+        templates = hex_names(self.template_digests.array())
+        stricts = hex_names(self.strict_digests.array())
+        columns = zip(
+            self.ids.tolist(),
+            self.submit_hours.array().tolist(),
+            self.plan_codes.array().tolist(),
+            self.param_codes.array().tolist(),
+        )
+        for row, (job_id, hour, code, param_code) in enumerate(columns):
+            yield self._record(
+                code, job_id, hour, templates[code], stricts[code],
+                param_code, deps.get(row, ()),
+            )
+
+    def records(self) -> list[JobRecord]:
+        return list(self.iter_records())
+
+    def _record(
+        self,
+        plan_code: int,
+        job_id: str,
+        hour: float,
+        template: str,
+        strict: str,
+        param_code: int,
+        depends_on: tuple[str, ...],
+    ) -> JobRecord:
         plan = self.plans[plan_code]
         strict_map, template_map = enumerate_all_signatures(plan)
         return JobRecord(
-            job_id=self.job_ids[row],
-            submit_hour=float(self.submit_hours.array()[row]),
+            job_id=job_id,
+            submit_hour=hour,
             plan=plan,
-            template=self.plan_templates[plan_code],
-            strict=self.plan_stricts[plan_code],
+            template=template,
+            strict=strict,
             subexpression_templates=template_map,
             subexpression_strict=strict_map,
-            params=dict(self.params_pool[int(self.param_codes.array()[row])]),
-            depends_on=self.deps_map.get(row, ()),
+            params=dict(self.params[param_code]),
+            depends_on=depends_on,
         )
-
-    def records(self) -> list[JobRecord]:
-        return [self.record(row) for row in range(self.n)]
 
     def filtered_sig_codes(self, min_size: int) -> tuple[np.ndarray, np.ndarray]:
         """``(codes, offsets)`` CSR of strict sigs with node size >= ``min_size``."""
         cached = self._filtered_cache.get(min_size)
         if cached is None:
             codes = self.sig_codes.array()
-            keep = (np.asarray(self.sig_sizes, dtype=np.int64) >= min_size)[
-                codes
-            ]
+            keep = (self.sig_sizes.array() >= min_size)[codes]
             kept = np.zeros(len(codes) + 1, dtype=np.int64)
             np.cumsum(keep, out=kept[1:])
             cached = (codes[keep], kept[self.sig_offsets.array()])
@@ -507,9 +925,10 @@ class DayChunk:
         return cached
 
     def sig_bytes(self) -> np.ndarray:
-        """The signature pool as a fixed-width ascii array (for shm)."""
+        """The signature names as a fixed-width ``S16`` array (for shm)."""
         if self._sig_bytes is None:
-            self._sig_bytes = np.asarray(self.sig_names, dtype="S")
+            text = self.sig_digests.array().tobytes().hex().encode("ascii")
+            self._sig_bytes = np.frombuffer(text, dtype="S16")
         return self._sig_bytes
 
     def sig_rows(self, min_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -536,37 +955,28 @@ class DayChunk:
     def nbytes(self) -> int:
         """Resident bytes this chunk holds, driving the LRU budget.
 
-        Columns and the signature CSR count exactly, strings and dicts
-        at their CPython object sizes, recipes at their own size and
-        each built plan at :data:`PLAN_BYTES`.  Derived caches
+        Columns, id and dependency blobs count exactly, parameter dicts
+        at their CPython sizes, and each plan tree (a recurring plan, or
+        a recipe read since) at :data:`PLAN_BYTES`.  Derived caches
         (filtered CSRs, the shm signature array, the interning index)
         count while they are held.
         """
         if self._nbytes_cache is None:
-            columns = (
-                self.submit_hours.nbytes()
-                + self.plan_codes.nbytes()
-                + self.param_codes.nbytes()
-                + self.sig_codes.nbytes()
-                + self.sig_offsets.nbytes()
+            columns = sum(
+                col.nbytes()
+                for col in (
+                    self.submit_hours, self.plan_codes, self.param_codes,
+                    self.template_digests, self.strict_digests,
+                    self.sig_codes, self.sig_offsets, self.sig_digests,
+                    self.sig_sizes,
+                )
             )
-            pools = (
-                _strs_nbytes(self.job_ids)
-                + _strs_nbytes(self.plan_stricts)
-                + _strs_nbytes(self.sig_names)
-                # templates are owned by the plans' signature memos
-                + 8 * (len(self.plan_templates) + len(self.sig_sizes))
+            self._nbytes_cache = (
+                columns
+                + self.ids.nbytes()
+                + self.deps.nbytes()
+                + self.params.nbytes()
             )
-            # Dicts plus their float values.
-            params = (
-                8 * len(self.params_pool)
-                + sum(map(sys.getsizeof, self.params_pool))
-                + 24 * sum(map(len, self.params_pool))
-            )
-            # Per edge: the row int, a 1-tuple and its id string (ad-hoc
-            # consumers of one producer share the string).
-            deps = sys.getsizeof(self.deps_map) + 120 * len(self.deps_map)
-            self._nbytes_cache = columns + pools + params + deps
         # Plans read since (built recipes) and derived caches count live.
         derived = self.plans.nbytes() + sum(
             codes.nbytes + offsets.nbytes
@@ -578,54 +988,70 @@ class DayChunk:
             derived += sys.getsizeof(self._sig_index)
         return self._nbytes_cache + derived
 
+    _ARRAYS = (
+        "submit_hours", "plan_codes", "param_codes", "template_digests",
+        "strict_digests", "sig_codes", "sig_offsets", "sig_digests",
+        "sig_sizes",
+    )
+
     def __getstate__(self) -> dict:
-        return {
-            "day": self.day,
-            "job_ids": self.job_ids,
-            "submit_hours": self.submit_hours.array(),
-            "plan_codes": self.plan_codes.array(),
-            "param_codes": self.param_codes.array(),
-            "plans": self.plans,
-            "plan_templates": self.plan_templates,
-            "plan_stricts": self.plan_stricts,
-            "sig_codes": self.sig_codes.array(),
-            "sig_offsets": self.sig_offsets.array(),
-            "sig_names": self.sig_names,
-            "sig_sizes": self.sig_sizes,
-            "params_pool": self.params_pool,
-            "deps_map": self.deps_map,
-        }
+        state = {name: getattr(self, name).array() for name in self._ARRAYS}
+        for name in ("day", "ids", "plans", "params", "deps"):
+            state[name] = getattr(self, name)
+        return state
 
     def __setstate__(self, state: dict) -> None:
+        if "job_ids" in state:
+            state = _columnar_state(state)
         self.__init__(state["day"])
-        self.job_ids = state["job_ids"]
-        self.submit_hours.extend(state["submit_hours"])
-        self.plan_codes.extend(state["plan_codes"])
-        self.param_codes.extend(state["param_codes"])
-        plans = state["plans"]
-        self.plans = plans if isinstance(plans, PlanPool) else PlanPool(plans)
-        self.plan_templates = state["plan_templates"]
-        self.plan_stricts = state["plan_stricts"]
-        if "plan_sig_codes" in state:
-            # Older files hold one code array per plan: flatten them.
-            per_plan = state["plan_sig_codes"]
-            lens = np.fromiter(map(len, per_plan), np.int64, len(per_plan))
-            offsets = np.zeros(len(per_plan) + 1, dtype=np.int64)
-            np.cumsum(lens, out=offsets[1:])
-            codes = (
-                np.concatenate(per_plan)
-                if per_plan
-                else np.empty(0, dtype=np.uint32)
-            )
-        else:
-            codes, offsets = state["sig_codes"], state["sig_offsets"]
-        self.sig_codes = _Column(np.uint32, codes)
-        self.sig_offsets = _Column(np.int64, offsets)
-        self.sig_names = state["sig_names"]
-        self.sig_sizes = state["sig_sizes"]
-        self.params_pool = state["params_pool"]
-        self.deps_map = state["deps_map"]
+        for name in self._ARRAYS:
+            column = getattr(self, name)
+            setattr(self, name, _Column(column.dtype, state[name]))
+        for name in ("ids", "plans", "params", "deps"):
+            setattr(self, name, state[name])
         self._sig_index = None
+
+
+def _columnar_state(old: dict) -> dict:
+    """A chunk state written before the columnar layout, converted.
+
+    Those files hold lists: job ids and signature names as ``str``,
+    parameter dicts per code, a row -> ids dependency dict, and plans as
+    a list (or an item-list ``PlanPool``); the oldest also hold one
+    signature code array per plan instead of the flat CSR.
+    """
+    plans = old["plans"]
+    if "plan_sig_codes" in old:
+        per_plan = old["plan_sig_codes"]
+        lens = np.fromiter(map(len, per_plan), np.int64, len(per_plan))
+        offsets = np.zeros(len(per_plan) + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        codes = (
+            np.concatenate(per_plan)
+            if per_plan
+            else np.empty(0, dtype=np.uint32)
+        )
+    else:
+        codes, offsets = old["sig_codes"], old["sig_offsets"]
+    return {
+        "day": old["day"],
+        "ids": StrColumn.from_strs(old["job_ids"]),
+        "submit_hours": old["submit_hours"],
+        "plan_codes": old["plan_codes"],
+        "param_codes": old["param_codes"],
+        "plans": plans if isinstance(plans, PlanPool) else PlanPool(plans),
+        "template_digests": digests_of(old["plan_templates"]),
+        "strict_digests": digests_of(old["plan_stricts"]),
+        "sig_codes": codes,
+        "sig_offsets": offsets,
+        "sig_digests": digests_of(old["sig_names"]),
+        "sig_sizes": _sig_sizes(old["sig_sizes"]),
+        "params": ParamPool.from_list(old["params_pool"]),
+        "deps": DepsCSR.from_lists(
+            sorted(old["deps_map"]),
+            [old["deps_map"][row] for row in sorted(old["deps_map"])],
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +1241,7 @@ class JobTable:
                 hi = int(np.searchsorted(seg_hashes, h, side="right"))
                 for at in range(lo, hi):
                     row = int(seg_rows[at])
-                    if self.chunks[day].job_ids[row] == job_id:
+                    if self.chunks[day].job_id(row) == job_id:
                         return row
             return None
         index = self.closed_index.get(day)
@@ -826,7 +1252,7 @@ class JobTable:
         hi = int(np.searchsorted(idx_hashes, h, side="right"))
         for at in range(lo, hi):
             row = int(idx_rows[at])
-            if self.chunk(day).job_ids[row] == job_id:
+            if self.chunk(day).job_id(row) == job_id:
                 return row
         return None
 
@@ -843,7 +1269,7 @@ class JobTable:
         for at in range(lo, hi):
             day = int(gl_days[at])
             row = int(gl_rows[at])
-            if self.chunk(day).job_ids[row] == job_id:
+            if self.chunk(day).job_id(row) == job_id:
                 return day, row
         return None
 
@@ -876,13 +1302,14 @@ class JobTable:
         return chunk
 
     def append_batch(self, batch: JobBatch) -> DayChunk:
-        hashes = _hash_ids(batch.job_ids)
+        fixed = batch.ids.fixed()
+        hashes = _hash_ids(fixed)
         uniq, first, counts = np.unique(
             hashes, return_index=True, return_counts=True
         )
-        if (counts > 1).any() and len(set(batch.job_ids)) != len(batch.job_ids):
+        if (counts > 1).any() and len(np.unique(fixed)) != len(fixed):
             seen: set[str] = set()
-            for job_id in batch.job_ids:
+            for job_id in batch.ids.tolist():
                 if job_id in seen:
                     raise ValueError(f"job {job_id!r} already ingested")
                 seen.add(job_id)
@@ -896,16 +1323,16 @@ class JobTable:
             lo = np.searchsorted(gl_hashes, uniq, side="left")
             hi = np.searchsorted(gl_hashes, uniq, side="right")
             for pos in np.nonzero(hi > lo)[0]:
-                job_id = batch.job_ids[int(first[pos])]
+                job_id = batch.job_id(int(first[pos]))
                 for at in range(int(lo[pos]), int(hi[pos])):
                     day = int(gl_days[at])
-                    if self.chunk(day).job_ids[int(gl_rows[at])] == job_id:
+                    if self.chunk(day).job_id(int(gl_rows[at])) == job_id:
                         raise ValueError(
                             f"job {job_id!r} already ingested"
                         )
         if self._open_map or self._open_segments:
             for pos in range(len(uniq)):
-                job_id = batch.job_ids[int(first[pos])]
+                job_id = batch.job_id(int(first[pos]))
                 if self._day_has(batch.day, job_id, uniq[pos]) is not None:
                     raise ValueError(f"job {job_id!r} already ingested")
         chunk.append_batch(batch)
@@ -994,9 +1421,9 @@ class JobTable:
         """(job_id, depends_on) pairs in global ingestion order, lazily."""
         for day in self.day_order:
             chunk = self.chunk(day)
-            deps_map = chunk.deps_map
-            for row, job_id in enumerate(chunk.job_ids):
-                yield job_id, deps_map.get(row, ())
+            deps = dict(chunk.deps.items())
+            for row, job_id in enumerate(chunk.ids.tolist()):
+                yield job_id, deps.get(row, ())
 
     def stats(self) -> dict:
         return {
@@ -1075,9 +1502,7 @@ class _RecordsView:
     def __iter__(self):
         table = self._repo._table
         for day in table.day_order:
-            chunk = table.chunk(day)
-            for row in range(chunk.n):
-                yield chunk.record(row)
+            yield from table.chunk(day).iter_records()
 
     def _locate(self, index: int) -> JobRecord:
         table = self._repo._table
@@ -1223,11 +1648,19 @@ class WorkloadRepository:
             batch = JobBatch.from_jobs(batch)
         self._note_day_rollover(batch.day)
         self._table.append_batch(batch)
-        plan_rows = np.bincount(
-            batch.plan_codes, minlength=len(batch.plans)
+        # Per distinct template, in first-sighting order across plans:
+        # the order (and the sums) a per-plan fold would produce.
+        templates, first, inverse = np.unique(
+            batch.template_digests, return_index=True, return_inverse=True
         )
-        for template, rows in zip(batch.plan_templates, plan_rows):
-            self._track_templates(template, batch.day, int(rows))
+        rows = np.bincount(
+            inverse[batch.plan_codes], minlength=len(templates)
+        )
+        order = np.argsort(first, kind="stable")
+        for template, count in zip(
+            hex_names(templates[order]), rows[order].tolist()
+        ):
+            self._track_templates(template, batch.day, count)
         self._invalidate_day(batch.day)
         return len(batch)
 
@@ -1263,16 +1696,25 @@ class WorkloadRepository:
         if cached is not None and not closing:
             return cached
         chunk = self._table.chunk(day)
-        deps_map = chunk.deps_map
-        job_ids = chunk.job_ids
-        dep_ids: set[str] = set().union(*deps_map.values())
-        involved = {job_ids[row] for row in deps_map} | dep_ids
-        if dep_ids and not dep_ids.issubset(job_ids):
-            # A dependency names a job outside this day: per-day counts
-            # are no longer disjoint, so analysis falls back to the
-            # exact global union.
-            self._dep_fallback = True
-        count = len(involved)
+        count = 0
+        if len(chunk.deps):
+            # Each dependency id's row on this day, by hash, verified.
+            job_ids = chunk.ids.fixed()
+            dep_ids = chunk.deps.ids.fixed()
+            hashes = _hash_ids(job_ids)
+            order = np.argsort(hashes, kind="stable")
+            at = np.searchsorted(hashes[order], _hash_ids(dep_ids))
+            rows = order[np.minimum(at, len(order) - 1)]
+            consumers = chunk.deps.rows.array()
+            if (job_ids[rows] == dep_ids).all():
+                count = len(np.unique(np.concatenate([consumers, rows])))
+            else:
+                # A dependency names a job outside this day: per-day
+                # counts are no longer disjoint, so analysis falls back
+                # to the exact global union.
+                self._dep_fallback = True
+                involved = np.concatenate([job_ids[consumers], dep_ids])
+                count = len(np.unique(involved))
         self._closed_involved[day] = count
         return count
 
@@ -1316,7 +1758,7 @@ class WorkloadRepository:
         chunk = self._table.chunk(day)
         flat_job, flat_sig = chunk.sig_rows(min_size)
         if len(flat_sig):
-            per_sig = np.bincount(flat_sig, minlength=len(chunk.sig_names))
+            per_sig = np.bincount(flat_sig, minlength=len(chunk.sig_digests))
             shared_mask = per_sig > 1
             flat_shared = shared_mask[flat_sig]
             n_sharing = int(np.unique(flat_job[flat_shared]).size)
@@ -1324,10 +1766,13 @@ class WorkloadRepository:
             keep = shared_mask[codes]
             codes, first_pos = codes[keep], first_pos[keep]
             order = np.argsort(first_pos, kind="stable")
-            shared = {
-                chunk.sig_names[int(code)]: int(per_sig[int(code)])
-                for code in codes[order]
-            }
+            codes = codes[order]
+            shared = dict(
+                zip(
+                    hex_names(chunk.sig_digests.array()[codes]),
+                    per_sig[codes].tolist(),
+                )
+            )
         else:
             n_sharing = 0
             shared = {}
@@ -1351,9 +1796,8 @@ class WorkloadRepository:
         ingested since the last call are gathered from their chunks;
         already-cached days extend with one memcpy and never reload a
         (possibly spilled) chunk again — analyze cost per tick stays
-        O(new day), not O(history).  If a new day's signature pool is
-        wider than the cached block, the block is recast to the wider
-        byte width (zero-padded, exactly like a fresh build).  Job
+        O(new day), not O(history).  Signature names are 16 hex
+        characters, so the block's ``S16`` layout never changes.  Job
         codes are the day's global row offset plus the local row.
         Returns ``(table, slices)`` with per-day
         ``(day, start_row, stop_row, n_jobs)`` slices.
@@ -1380,13 +1824,11 @@ class WorkloadRepository:
             state = {"days": {}, "table": None, "slices": [], "offset": 0}
             self._sig_table_cache[min_size] = state
             new_days = days
+        dtype = [("job", np.uint32), ("sig", "S16")]
         table = state["table"]
         if table is None:
-            table = np.zeros(
-                0, dtype=[("job", np.uint32), ("sig", "S1")]
-            )
+            table = np.zeros(0, dtype=dtype)
         if new_days:
-            width = table.dtype["sig"].itemsize
             parts_job: list[np.ndarray] = []
             parts_sig: list[np.ndarray] = []
             total = len(table)
@@ -1400,21 +1842,15 @@ class WorkloadRepository:
                 total += len(flat_job)
                 parts_job.append(flat_job.astype(np.uint64) + offset)
                 parts_sig.append(flat_sig)
-                if len(flat_sig):
-                    width = max(width, flat_sig.dtype.itemsize)
                 slices.append((day, start, total, n_jobs))
                 offset += n_jobs
                 state["days"][day] = n_jobs
-            dtype = [("job", np.uint32), ("sig", f"S{width}")]
             grown = np.zeros(total, dtype=dtype)
             n_old = len(table)
-            if n_old:
-                grown[:n_old] = table.astype(dtype, copy=False)
+            grown[:n_old] = table
             if total > n_old:
                 grown["job"][n_old:] = np.concatenate(parts_job)
-                grown["sig"][n_old:] = np.concatenate(
-                    [p.astype(f"S{width}") for p in parts_sig if len(p)]
-                )
+                grown["sig"][n_old:] = np.concatenate(parts_sig)
             table = grown
             state["table"] = table
             state["offset"] = offset
@@ -1454,6 +1890,8 @@ class WorkloadRepository:
 
     def dependency_graph(self) -> nx.DiGraph:
         """Job-level DAG: edge producer -> consumer."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         for job_id, deps in self._table.iter_id_deps():
             graph.add_node(job_id)

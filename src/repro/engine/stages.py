@@ -11,12 +11,15 @@ optimizer sizes them with its learned predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.engine.cost import DefaultCostModel
 from repro.engine.expr import Expression
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Abstract cost units one task can process per second.
 TASK_RATE = 2_000_000.0
@@ -109,6 +112,8 @@ class StageGraph:
         return sum(stage.duration() for stage in self.stages)
 
     def to_networkx(self) -> nx.DiGraph:
+        import networkx as nx
+
         graph = nx.DiGraph()
         for stage in self.stages:
             graph.add_node(stage.stage_id, operator=stage.operator)

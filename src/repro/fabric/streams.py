@@ -191,7 +191,7 @@ class JobPairsView:
     The plan-facing services (steering, CloudViews) optimize every plan
     they see, so they sample the first ``head`` jobs of each day while
     the repository ingests the whole feed.  Pairs are read straight off
-    the shared day batch's columns (job ids plus the interned plan
+    the shared day batch's columns (the id blob plus the interned plan
     pool), so the plan-facing sample and the repository ingest share
     one generation per day.  Indexing the pool builds a recipe's plan
     on first read and caches it in the batch, so every service sampling
@@ -208,7 +208,8 @@ class JobPairsView:
             return default
         n = len(batch) if self.head is None else min(self.head, len(batch))
         plans = batch.plans
-        codes = batch.plan_codes
+        codes = batch.plan_codes[:n].tolist()
         return [
-            (batch.job_ids[i], plans[int(codes[i])]) for i in range(n)
+            (job_id, plans[code])
+            for job_id, code in zip(batch.ids.tolist(n), codes)
         ]

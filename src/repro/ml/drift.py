@@ -11,7 +11,6 @@ from collections import deque
 from typing import Protocol
 
 import numpy as np
-from scipy import stats
 
 
 class DriftDetector(Protocol):
@@ -83,6 +82,8 @@ class WindowedKSDetector:
         self._current.append(float(value))
         if len(self._current) < self.window:
             return False
+        from scipy import stats
+
         statistic = stats.ks_2samp(
             np.asarray(self._reference), np.asarray(self._current)
         )

@@ -110,23 +110,27 @@ class HoltWinters:
         # Classical initialization from the first two seasons.
         season1 = arr[:m].mean()
         season2 = arr[m : 2 * m].mean()
-        level = season1
-        trend = (season2 - season1) / m
-        seasonal = arr[:m] - season1
+        level = float(season1)
+        trend = float((season2 - season1) / m)
+        seasonal = (arr[:m] - season1).tolist()
+        # The recursion runs on Python floats: the same IEEE operations
+        # in the same order as on numpy scalars, without their dispatch.
+        alpha, beta, gamma = self.alpha, self.beta, self.gamma
+        values = arr.tolist()
         for t in range(m, arr.size):
-            value = arr[t]
+            value = values[t]
             idx = t % m
             prev_level = level
-            level = self.alpha * (value - seasonal[idx]) + (1 - self.alpha) * (
+            level = alpha * (value - seasonal[idx]) + (1 - alpha) * (
                 level + trend
             )
-            trend = self.beta * (level - prev_level) + (1 - self.beta) * trend
-            seasonal[idx] = self.gamma * (value - level) + (1 - self.gamma) * seasonal[
+            trend = beta * (level - prev_level) + (1 - beta) * trend
+            seasonal[idx] = gamma * (value - level) + (1 - gamma) * seasonal[
                 idx
             ]
-        self._level = level
-        self._trend = trend
-        self._seasonal = seasonal
+        self._level = np.float64(level)
+        self._trend = np.float64(trend)
+        self._seasonal = np.array(seasonal)
         self._t = arr.size
         return self
 

@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-import networkx as nx
-
 VALID_KINDS = ("dataset", "featureset", "model", "deployment", "metric")
 
 
@@ -44,6 +42,8 @@ class LineageTracker:
     """Append-only provenance DAG with upstream/downstream queries."""
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self._graph = nx.DiGraph()
         self._ids = itertools.count(1)
         self._artifacts: dict[str, Artifact] = {}
@@ -94,6 +94,8 @@ class LineageTracker:
     def upstream(self, artifact: Artifact | str) -> list[Artifact]:
         """Everything this artifact was derived from (the Vamsa question:
         where did the bad model's behaviour come from?)."""
+        import networkx as nx
+
         node = artifact.artifact_id if isinstance(artifact, Artifact) else artifact
         self.get(node)
         return sorted(
@@ -103,6 +105,8 @@ class LineageTracker:
 
     def downstream(self, artifact: Artifact | str) -> list[Artifact]:
         """Everything derived from this artifact (contamination blast radius)."""
+        import networkx as nx
+
         node = artifact.artifact_id if isinstance(artifact, Artifact) else artifact
         self.get(node)
         return sorted(
@@ -118,6 +122,8 @@ class LineageTracker:
         Raises :class:`networkx.NetworkXNoPath` when unconnected.
         """
         src = source.artifact_id if isinstance(source, Artifact) else source
+        import networkx as nx
+
         dst = target.artifact_id if isinstance(target, Artifact) else target
         nodes = nx.shortest_path(self._graph, src, dst)
         out = [(self._artifacts[nodes[0]], "")]

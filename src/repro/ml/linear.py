@@ -8,7 +8,6 @@ are linear fits chosen for interpretability and negligible training cost.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.ml.base import check_2d, check_fitted, check_xy
 
@@ -169,6 +168,8 @@ class QuantileRegression:
             ]
         )
         a_eq = np.hstack([design, -design, np.eye(n), -np.eye(n)])
+        from scipy import optimize
+
         result = optimize.linprog(
             cost, A_eq=a_eq, b_eq=yarr, bounds=[(0, None)] * (2 * k + 2 * n),
             method="highs",

@@ -21,7 +21,6 @@ The generator is calibrated to those statistics:
 from __future__ import annotations
 
 import gc
-import sys
 from binascii import hexlify
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -307,8 +306,8 @@ class _AdhocShape:
     The payload pieces are kept as *bytes* and the per-node names as
     the raw first 8 digest bytes: a 16-hex-char signature name is a
     bijective encoding of those 8 bytes, so the interning pass can run
-    ``np.unique`` over a uint64 view and hexlify only the surviving
-    pool — hex strings exist per *unique* signature, not per job.
+    ``np.unique`` over a uint64 view and the batch keeps the digests —
+    a name is hexed only when something reads it.
     """
 
     scan_raw: bytes          # raw 8-byte digest of Scan(table)
@@ -319,7 +318,7 @@ class _AdhocShape:
     join_post: bytes | None
     root_pre: bytes          # strict root payload up to the child sig
     root_size: int           # node count of the full plan
-    root_template: str       # template signature of the full plan
+    root_template: bytes     # raw template digest of the full plan
 
 
 @lru_cache(maxsize=4096)
@@ -340,10 +339,9 @@ class AdhocRecipe(NamedTuple):
     """The five draws that fix one ad-hoc plan.
 
     The fused day carries ad-hoc plans as recipes: a handful of the day's
-    plans are ever read as trees, so :meth:`build` runs on first read
-    (see ``PlanPool`` in the Peregrine repository), and a pickled day
-    stores these five fields instead of a plan tree.  Names are the
-    catalog's own strings, so a recipe owns only its tuple and literal.
+    plans are ever read as trees, so :meth:`build` runs on first read.
+    ``PlanPool`` in the Peregrine repository keeps a day's recipes as
+    rows of one structured column and makes a recipe only to build it.
     """
 
     table: str
@@ -351,9 +349,6 @@ class AdhocRecipe(NamedTuple):
     value: float
     join_table: str | None
     aggregate: bool
-
-    #: Bytes one recipe alone keeps resident: its 5-tuple and literal.
-    NBYTES = sys.getsizeof((None,) * 5) + sys.getsizeof(0.0)
 
     def build(self) -> Expression:
         """The plan these draws describe: filter-scan, optionally joined
@@ -1103,7 +1098,9 @@ class ScopeWorkloadGenerator:
             join_post=join_post.encode() if join_post is not None else None,
             root_pre=f"{root_desc}(".encode(),
             root_size=root_size,
-            root_template=_digest(f"{root_desc}({top_template})"),
+            root_template=bytes.fromhex(
+                _digest(f"{root_desc}({top_template})")
+            ),
         )
         self._adhoc_shapes[key] = shape
         return shape
@@ -1117,10 +1114,11 @@ class ScopeWorkloadGenerator:
         calls per unique ad-hoc plan instead of a full signature pass:
         recurring instances are stamped from one per-template skeleton
         via columnar repeats, and the day never exists as a
-        million-element list.  Ad-hoc plans stay :class:`AdhocRecipe`
-        entries of the plan pool until read (a read builds a plan ``==``
-        the one ``day_jobs`` stamps), and the signature codes stay one
-        flat array with per-plan offsets.  Interleaves freely with
+        million-element list.  Ad-hoc plans stay recipe columns of the
+        plan pool until read (a read builds a plan ``==`` the one
+        ``day_jobs`` stamps), signatures stay raw 8-byte digests, job
+        ids one byte blob, and the signature codes one flat array with
+        per-plan offsets.  Interleaves freely with
         :meth:`day_jobs`/:meth:`stream_days` (shared day-state cache).
         """
         if day < 0:
@@ -1142,7 +1140,14 @@ class ScopeWorkloadGenerator:
         return batch
 
     def _build_day_batch(self, day: int, rng: np.random.Generator) -> "JobBatch":
-        from repro.core.peregrine.repository import JobBatch, PlanPool
+        from repro.core.peregrine.repository import (
+            DIGEST,
+            DepsCSR,
+            JobBatch,
+            ParamPool,
+            PlanPool,
+            StrColumn,
+        )
 
         cfg = self.config
         instances = cfg.instances_per_template
@@ -1153,15 +1158,16 @@ class ScopeWorkloadGenerator:
         n_adhoc = self.adhoc_per_day
 
         # Per-ref pools in draw order (refs 0..T-1 are the recurring
-        # skeletons, T..T+A-1 the ad-hoc plans, kept as recipes and only
-        # built if something reads them).  Signature names and
-        # node sizes go into one flat draw-order stream with per-ref
-        # lengths; a single vectorized gather permutes them to plan-code
-        # order below instead of juggling 350k small lists.
-        ref_plans: list[Expression | AdhocRecipe] = []
-        ref_templates: list[str] = []
-        ref_stricts: list[str] = []
-        ref_params: list[dict | None] = []
+        # skeletons, T..T+A-1 the ad-hoc plans, kept as recipe columns
+        # and only built if something reads them).  Signatures stay raw
+        # 8-byte digests: template and strict roots one per ref, and the
+        # signature names and node sizes in one flat draw-order stream
+        # with per-ref lengths; a single vectorized gather permutes them
+        # to plan-code order below instead of juggling 350k small lists.
+        ref_plans: list[Expression] = []
+        ref_templates: list[bytes] = []
+        ref_stricts: list[bytes] = []
+        ref_params: list[dict] = []
         names_flat: list[bytes] = []
         sizes_flat: list[int] = []
         ref_lens: list[int] = []
@@ -1171,8 +1177,8 @@ class ScopeWorkloadGenerator:
             strict_map, _template_map = enumerate_all_signatures(plan)
             sigs = signatures(plan)
             ref_plans.append(plan)
-            ref_templates.append(sigs.template)
-            ref_stricts.append(sigs.strict)
+            ref_templates.append(bytes.fromhex(sigs.template))
+            ref_stricts.append(bytes.fromhex(sigs.strict))
             names_flat.extend(bytes.fromhex(s) for s in strict_map)
             sizes_flat.extend(node.size for node in strict_map.values())
             ref_lens.append(len(strict_map))
@@ -1196,11 +1202,8 @@ class ScopeWorkloadGenerator:
         get_shape = self._adhoc_shape
         _sha1 = sha1
         _hex = hexlify
-        plans_append = ref_plans.append
-        new_recipe = AdhocRecipe._make
         templates_append = ref_templates.append
         stricts_append = ref_stricts.append
-        params_append = ref_params.append
         names_extend = names_flat.extend
         sizes_extend = sizes_flat.extend
         lens_append = ref_lens.append
@@ -1238,10 +1241,8 @@ class ScopeWorkloadGenerator:
                 names_extend((shape.scan_raw, filt_raw, root_raw))
                 sizes_extend((1, 2, shape.root_size))
                 lens_append(3)
-            plans_append(new_recipe(drawn[:5]))
             templates_append(shape.root_template)
-            stricts_append(root_raw.hex())
-            params_append(None)
+            stricts_append(root_raw)
 
         # Stable sort by submit hour == the legacy per-day Python sort.
         hours = (
@@ -1270,29 +1271,45 @@ class ScopeWorkloadGenerator:
 
         all_tails = rec_tails + self._adhoc_tails()
         order_list = order.tolist()
-        job_ids = [prefix + all_tails[i] for i in order_list]
+        job_ids = StrColumn.from_strs(
+            [prefix + all_tails[i] for i in order_list]
+        )
 
         # Pools in plan-code order; signature interning in first-sighting
         # order across plans — one gather permutes the draw-order name
-        # stream to plan-code order, then ``np.unique`` over the
-        # fixed-width digest bytes plus an appearance-rank remap replaces
-        # a million dict probes with a handful of array ops.  One params
-        # entry per plan (``from_jobs`` keys params on the plan code, so
-        # codes and param codes agree).
-        plans = PlanPool([ref_plans[r] for r in ref_order])
-        plan_templates = [ref_templates[r] for r in ref_order]
-        plan_stricts = [ref_stricts[r] for r in ref_order]
-        params_pool: list[dict] = []
-        for r in ref_order:
-            params = ref_params[r]
-            params_pool.append({} if params is None else dict(params))
+        # stream to plan-code order, then ``np.unique`` over the raw
+        # digests plus an appearance-rank remap replaces a million dict
+        # probes with a handful of array ops.  One params entry per plan
+        # (``from_jobs`` keys params on the plan code, so codes and
+        # param codes agree); only the recurring plans have any.
+        recurring = [
+            (code, r) for code, r in enumerate(ref_order) if r < n_templates
+        ]
+        code_of_ref = np.empty(n_templates + n_adhoc, dtype=np.int64)
+        code_of_ref[ref_order_arr] = np.arange(len(ref_order))
+        plans = PlanPool.with_recipes(
+            len(ref_order),
+            {code: ref_plans[r] for code, r in recurring},
+            code_of_ref[n_templates:],
+            day_draws,
+        )
+        params = ParamPool(
+            len(ref_order),
+            {code: dict(ref_params[r]) for code, r in recurring if ref_params[r]},
+        )
+        template_digests = np.frombuffer(
+            b"".join(ref_templates), dtype=DIGEST
+        )[ref_order_arr]
+        strict_digests = np.frombuffer(
+            b"".join(ref_stricts), dtype=DIGEST
+        )[ref_order_arr]
         lens_draw = np.asarray(ref_lens, dtype=np.int64)
         offs_draw = np.concatenate(([0], np.cumsum(lens_draw)))[:-1]
         # Raw 8-byte digests are bijective with the 16-hex-char names,
         # so dedup runs on a uint64 view (~6x faster than S16 strings)
-        # and only the surviving pool is hexlified, wholesale.
-        flat_draw = np.frombuffer(b"".join(names_flat), dtype=np.uint64)
-        sizes_draw = np.asarray(sizes_flat, dtype=np.int64)
+        # and the pool stays digests: names are hexed only when read.
+        flat_draw = np.frombuffer(b"".join(names_flat), dtype=DIGEST)
+        sizes_draw = np.asarray(sizes_flat, dtype=np.uint16)
         lens_sorted = lens_draw[ref_order_arr]
         total = int(lens_sorted.sum())
         seg_base = np.repeat(np.cumsum(lens_sorted) - lens_sorted, lens_sorted)
@@ -1311,30 +1328,27 @@ class ScopeWorkloadGenerator:
         codes_flat = sig_code_of[name_inverse].astype(np.uint32, copy=False)
         sig_offsets = np.zeros(len(lens_sorted) + 1, dtype=np.int64)
         np.cumsum(lens_sorted, out=sig_offsets[1:])
-        hex_pool = uniq_names[name_rank].tobytes().hex()
-        sig_names = [
-            hex_pool[i:i + 16] for i in range(0, len(hex_pool), 16)
-        ]
-        sig_sizes = sizes_draw[gather[name_first[name_rank]]].tolist()
 
         inv = np.empty(len(order), dtype=np.int64)
         inv[order] = np.arange(len(order))
-        deps_rows = sorted(
-            (int(inv[pre]), deps) for pre, deps in pre_deps.items()
-        )
+        dep_rows = inv[np.fromiter(pre_deps, np.int64, len(pre_deps))]
+        dep_lists = list(pre_deps.values())
+        by_row = np.argsort(dep_rows, kind="stable").tolist()
         return JobBatch(
             day=day,
-            job_ids=job_ids,
+            ids=job_ids,
             submit_hours=hours[order],
             plan_codes=plan_codes,
             param_codes=plan_codes.copy(),
             plans=plans,
-            plan_templates=plan_templates,
-            plan_stricts=plan_stricts,
+            template_digests=template_digests,
+            strict_digests=strict_digests,
             sig_codes=codes_flat,
             sig_offsets=sig_offsets,
-            sig_names=sig_names,
-            sig_sizes=sig_sizes,
-            params_pool=params_pool,
-            deps_map=dict(deps_rows),
+            sig_digests=uniq_names[name_rank],
+            sig_sizes=sizes_draw[gather[name_first[name_rank]]],
+            params=params,
+            deps=DepsCSR.from_lists(
+                dep_rows[by_row], [dep_lists[k] for k in by_row]
+            ),
         )

@@ -1,24 +1,27 @@
-"""Day chunks: lazily built plans, the flat signature CSR, honest sizes.
+"""Day chunks: columnar pools, lazily built plans, honest sizes.
 
-A fused day carries its ad-hoc plans as recipes and its signature codes
-as one flat array plus per-plan offsets, from the generator through
-``JobBatch`` and ``DayChunk`` to the spill file.  These tests pin what
-that must not change: plans built on read equal the ones ``day_jobs``
-stamps, a read never turns a recipe into a pickled tree, split and
-reopened days read back like one batch, older chunk files still load,
-and ``nbytes()`` tracks what a chunk really keeps resident.
+A fused day is arrays from the generator through ``JobBatch`` and
+``DayChunk`` to the spill file: ad-hoc plans as recipe columns, job and
+dependency ids as byte blobs, signatures as raw digests with one flat
+code array plus per-plan offsets, and only non-empty parameter dicts.
+These tests pin what that must not change: plans built on read equal
+the ones ``day_jobs`` stamps, a read never turns a recipe into a
+pickled tree, split and reopened days read back like one batch, older
+chunk files still load, ``nbytes()`` tracks what a chunk really keeps
+resident, and a chunk holds no Python object per row.
 """
 
 import dataclasses
 import gc
 import pickle
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from repro.core.peregrine import JobBatch, WorkloadRepository
-from repro.core.peregrine.repository import DayChunk, PlanPool
+from repro.core.peregrine.repository import DayChunk, PlanPool, hex_names
 from repro.engine import (
     Aggregate,
     DefaultCardinalityEstimator,
@@ -55,8 +58,8 @@ class TestRecipes:
     def test_built_plans_equal_stamped_plans(self):
         batch = _generator().day_batch(2)
         jobs = _generator().day_jobs(2)
-        assert any(isinstance(item, AdhocRecipe) for item in batch.plans.items)
         plans = batch.plans
+        assert any(plans.recipe(c) is not None for c in range(len(plans)))
         assert [plans[int(c)] for c in batch.plan_codes] == [
             job.plan for job in jobs
         ]
@@ -77,15 +80,17 @@ class TestRecipes:
         assert blob == unread
         clone = pickle.loads(blob)
         assert not clone.plans._built
-        assert any(isinstance(item, AdhocRecipe) for item in clone.plans.items)
+        plans = clone.plans
+        assert any(plans.recipe(c) is not None for c in range(len(plans)))
         assert clone.records() == records
 
     def test_self_join_keeps_two_scan_stages(self):
         gen = _generator()
+        plans = gen.day_batch(1).plans
         recipes = [
-            item
-            for item in gen.day_batch(1).plans.items
-            if isinstance(item, AdhocRecipe) and item.join_table == item.table
+            recipe
+            for recipe in map(plans.recipe, range(len(plans)))
+            if recipe is not None and recipe.join_table == recipe.table
         ]
         assert recipes
         cost = DefaultCostModel(
@@ -171,27 +176,72 @@ class TestSplitDays:
         self._assert_same_day(repo, ref, 0)
 
 
+def _list_pools(chunk: DayChunk) -> dict:
+    """A chunk's pools as the lists files held before the columnar layout."""
+    plans = chunk.plans
+    return {
+        "day": chunk.day,
+        "job_ids": chunk.ids.tolist(),
+        "submit_hours": chunk.submit_hours.array(),
+        "plan_codes": chunk.plan_codes.array(),
+        "param_codes": chunk.param_codes.array(),
+        "plan_templates": hex_names(chunk.template_digests.array()),
+        "plan_stricts": hex_names(chunk.strict_digests.array()),
+        "sig_names": hex_names(chunk.sig_digests.array()),
+        "sig_sizes": chunk.sig_sizes.array().tolist(),
+        "params_pool": [dict(plans_params) for plans_params in map(
+            chunk.params.__getitem__, range(len(chunk.params))
+        )],
+        "deps_map": dict(chunk.deps.items()),
+        "items": [plans.recipe(c) or plans[c] for c in range(len(plans))],
+    }
+
+
 def _old_layout(self: DayChunk) -> dict:
     """A chunk's pickle state as files written before the flat CSR."""
+    state = _list_pools(self)
+    items = state.pop("items")
     codes = self.sig_codes.array()
     offsets = self.sig_offsets.array()
-    return {
-        "day": self.day,
-        "job_ids": self.job_ids,
-        "submit_hours": self.submit_hours.array(),
-        "plan_codes": self.plan_codes.array(),
-        "param_codes": self.param_codes.array(),
-        "plans": list(self.plans),
-        "plan_templates": self.plan_templates,
-        "plan_stricts": self.plan_stricts,
-        "plan_sig_codes": [
-            codes[offsets[p]:offsets[p + 1]] for p in range(len(self.plans))
-        ],
-        "sig_names": self.sig_names,
-        "sig_sizes": self.sig_sizes,
-        "params_pool": self.params_pool,
-        "deps_map": self.deps_map,
-    }
+    state["plans"] = [
+        item if isinstance(item, Expression) else item.build()
+        for item in items
+    ]
+    state["plan_sig_codes"] = [
+        codes[offsets[p]:offsets[p + 1]] for p in range(len(items))
+    ]
+    return state
+
+
+class _ItemPool:
+    """Pickles as the list-pool ``PlanPool(items)`` the parent wrote."""
+
+    def __init__(self, items: list) -> None:
+        self.items = items
+
+    def __reduce__(self):
+        return PlanPool, (self.items,)
+
+
+def _parent_layout(self: DayChunk) -> dict:
+    """A chunk's pickle state as files written before the columnar
+    layout: the flat signature CSR, but ids, names, parameter dicts and
+    dependencies as Python lists and a recipe-list plan pool."""
+    state = _list_pools(self)
+    state["plans"] = _ItemPool(state.pop("items"))
+    state["sig_codes"] = self.sig_codes.array()
+    state["sig_offsets"] = self.sig_offsets.array()
+    return state
+
+
+def _spill_each_day(tmp_path, batches, layout, monkeypatch):
+    repo = WorkloadRepository(memory_budget_bytes=1, spill_dir=tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(DayChunk, "__getstate__", layout)
+        for batch in batches:
+            repo.ingest_batch(batch)
+    assert repo.chunk_stats()["spills"] >= len(batches) - 1
+    return repo
 
 
 class TestOldChunkFiles:
@@ -201,12 +251,7 @@ class TestOldChunkFiles:
         ref = WorkloadRepository()
         for batch in batches:
             ref.ingest_batch(batch)
-        repo = WorkloadRepository(memory_budget_bytes=1, spill_dir=tmp_path)
-        with monkeypatch.context() as patch:
-            patch.setattr(DayChunk, "__getstate__", _old_layout)
-            for batch in batches:
-                repo.ingest_batch(batch)
-        assert repo.chunk_stats()["spills"] >= 2
+        repo = _spill_each_day(tmp_path, batches, _old_layout, monkeypatch)
         loads = repo.chunk_stats()["loads"]
         for day in range(3):
             chunk = repo._table.chunk(day)
@@ -216,8 +261,78 @@ class TestOldChunkFiles:
             assert repo.by_day(day) == ref.by_day(day)
         assert repo.chunk_stats()["loads"] > loads
 
+    def test_parent_layout_loads_to_identical_reads(self, tmp_path, monkeypatch):
+        generator = _generator(seed=6, jobs_per_day=1200)
+        batches = [generator.day_batch(day) for day in range(3)]
+        ref = WorkloadRepository()
+        for batch in batches:
+            ref.ingest_batch(batch)
+        repo = _spill_each_day(tmp_path, batches, _parent_layout, monkeypatch)
+        loads = repo.chunk_stats()["loads"]
+        for day in range(3):
+            got, want = repo._table.chunk(day), ref._table.chunk(day)
+            assert len(got.deps) > 0
+            assert got.records() == want.records()
+            for min_size in (1, 2, 3):
+                for mine, theirs in zip(
+                    got.sig_rows(min_size), want.sig_rows(min_size)
+                ):
+                    assert np.array_equal(mine, theirs)
+                assert repo.day_sharing_summary(day, min_size) == (
+                    ref.day_sharing_summary(day, min_size)
+                )
+        assert repo.chunk_stats()["loads"] > loads
+        assert repo.dependency_involved() == ref.dependency_involved()
+        # A loaded chunk is columnar again, with the fresh chunk's pools.
+        got, want = repo._table.chunk(0), ref._table.chunk(0)
+        for name in DayChunk._ARRAYS:
+            mine, theirs = getattr(got, name).array(), getattr(want, name).array()
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert got.ids.tolist() == want.ids.tolist()
+        assert got.deps.items() == want.deps.items()
+        assert got.params.dicts == want.params.dicts
+        got_pool, want_pool = got.plans.__getstate__(), want.plans.__getstate__()
+        assert got_pool["names"] == want_pool["names"]
+        assert got_pool["objects"] == want_pool["objects"]
+        assert np.array_equal(got_pool["recipes"], want_pool["recipes"])
+
+
+def _reachable(root) -> int:
+    """Objects reachable from ``root`` by ``gc.get_referents``; a plan
+    tree, a type or a module counts as one object."""
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if not isinstance(obj, (Expression, type, types.ModuleType)):
+            stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestNoPerRowObjects:
+    @pytest.mark.parametrize("jobs_per_day", [1200, 5000])
+    def test_state_objects_grow_with_plans_with_params(self, jobs_per_day):
+        chunk = DayChunk(1)
+        chunk.append_batch(_generator(seed=3, jobs_per_day=jobs_per_day).day_batch(1))
+        with_params = len(chunk.params.dicts)
+        objects = _reachable(chunk.__getstate__())
+        assert chunk.n > 1000 and len(chunk.deps) > 0
+        # A parameter dict with its keys and values, a plan tree and its
+        # code: a few objects per recurring plan, none per row.
+        assert objects <= 12 * with_params + 200, (objects, with_params)
+        assert objects < chunk.n / 4
+
 
 class TestNbytes:
+    def test_fused_5k_chunk_fits_800_kib(self):
+        chunk = DayChunk(1)
+        chunk.append_batch(_generator(seed=3, jobs_per_day=5000).day_batch(1))
+        assert chunk.n > 4000
+        assert chunk.nbytes() <= 800 * 1024
+
     def test_fused_chunk_nbytes_tracks_retained_size(self):
         generator = _generator(seed=3, jobs_per_day=5000)
         generator.day_batch(0)  # warm the generator's own caches
@@ -250,8 +365,8 @@ class TestNbytes:
         plans = chunk.plans
         row = next(
             row
-            for row, code in enumerate(chunk.plan_codes.array())
-            if isinstance(plans.items[code], AdhocRecipe)
+            for row, code in enumerate(chunk.plan_codes.array().tolist())
+            if plans.recipe(code) is not None
         )
         chunk.record(row)
         assert chunk.nbytes() > derived

@@ -2,8 +2,8 @@
 
 ``WorkloadRepository.sig_table`` is the append-only cache behind the
 parallel analyze path's shared-memory table: per call it may only
-gather days ingested since the last call, must recast cleanly when a
-new day widens the signature byte width, must survive min_size
+gather days ingested since the last call, must keep its fixed ``S16``
+signature layout (names are 16 hex characters), must survive min_size
 filtering down to empty days, and must never reload spilled chunks for
 days it has already folded in.
 """
@@ -11,38 +11,55 @@ days it has already folded in.
 from __future__ import annotations
 
 import pickle
+from hashlib import sha1
 
 import numpy as np
 import pytest
 
 from repro.core.peregrine.analysis import analyze
-from repro.core.peregrine.repository import JobBatch, PlanPool, WorkloadRepository
+from repro.core.peregrine.repository import (
+    DepsCSR,
+    JobBatch,
+    ParamPool,
+    PlanPool,
+    StrColumn,
+    WorkloadRepository,
+    digests_of,
+)
 from repro.engine import Scan
 from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
+def sig(label: str) -> str:
+    """A 16-hex-char signature name standing for ``label``."""
+    return sha1(label.encode()).hexdigest()[:16]
+
+
 def tiny_batch(
     day: int,
-    sig_names: list[str],
+    sig_labels: list[str],
     sig_sizes: list[int],
     n_jobs: int = 2,
+    job_ids: list[str] | None = None,
 ) -> JobBatch:
     """A hand-built one-plan batch with a controlled signature pool."""
+    if job_ids is None:
+        job_ids = [f"d{day}-j{k}" for k in range(n_jobs)]
     return JobBatch(
         day=day,
-        job_ids=[f"d{day}-j{k}" for k in range(n_jobs)],
+        ids=StrColumn.from_strs(job_ids),
         submit_hours=np.arange(n_jobs, dtype=np.float64),
         plan_codes=np.zeros(n_jobs, dtype=np.uint32),
         param_codes=np.zeros(n_jobs, dtype=np.uint32),
         plans=PlanPool([Scan(f"t{day}")]),
-        plan_templates=[f"tmpl{day}"],
-        plan_stricts=[f"strict{day}"],
-        sig_codes=np.arange(len(sig_names), dtype=np.uint32),
-        sig_offsets=np.array([0, len(sig_names)], dtype=np.int64),
-        sig_names=sig_names,
-        sig_sizes=sig_sizes,
-        params_pool=[{}],
-        deps_map={},
+        template_digests=digests_of([sig(f"tmpl{day}")]),
+        strict_digests=digests_of([sig(f"strict{day}")]),
+        sig_codes=np.arange(len(sig_labels), dtype=np.uint32),
+        sig_offsets=np.array([0, len(sig_labels)], dtype=np.int64),
+        sig_digests=digests_of([sig(label) for label in sig_labels]),
+        sig_sizes=np.asarray(sig_sizes, dtype=np.uint16),
+        params=ParamPool(1),
+        deps=DepsCSR(),
     )
 
 
@@ -76,21 +93,16 @@ class TestSigTableMemoization:
         second, _ = repo.sig_table(2)
         assert first is second
 
-    def test_sig_width_growth_across_days(self):
-        narrow = tiny_batch(0, ["ab"], [3])
-        wide = tiny_batch(1, ["abcdefghijklmnop"], [3])
+    def test_sig_column_is_sixteen_hex_bytes(self):
         repo = WorkloadRepository()
-        repo.ingest_batch(narrow)
-        table0, _ = repo.sig_table(2)
-        assert table0.dtype["sig"].itemsize == 2
-        repo.ingest_batch(wide)
-        table1, slices1 = repo.sig_table(2)
-        assert table1.dtype["sig"].itemsize == 16
-        ref_table, ref_slices = fresh_table([narrow, wide], 2)
-        assert slices1 == ref_slices
-        assert np.array_equal(table1, ref_table)
-        # the narrow day's names survived the recast unmangled
-        assert table1["sig"][0] == b"ab"
+        repo.ingest_batch(tiny_batch(0, ["ab"], [3]))
+        repo.ingest_batch(tiny_batch(1, ["abcdefghijklmnop"], [3]))
+        table, _ = repo.sig_table(2)
+        assert table.dtype["sig"].itemsize == 16
+        assert table["sig"].tolist() == [
+            sig(label).encode()
+            for label in ("ab", "ab", "abcdefghijklmnop", "abcdefghijklmnop")
+        ]
 
     def test_min_size_filters_rows_but_not_days(self):
         batch = tiny_batch(0, ["s1", "s2", "s5"], [1, 2, 5], n_jobs=3)
@@ -99,7 +111,9 @@ class TestSigTableMemoization:
         table, slices = repo.sig_table(2)
         # sizes 2 and 5 survive, per each of the 3 jobs
         assert len(table) == 6
-        assert set(table["sig"].tolist()) == {b"s2", b"s5"}
+        assert set(table["sig"].tolist()) == {
+            sig("s2").encode(), sig("s5").encode()
+        }
         assert slices == [(0, 0, 6, 3)]
 
     def test_empty_day_under_min_size(self):
@@ -123,8 +137,7 @@ class TestSigTableMemoization:
         repo = WorkloadRepository()
         repo.ingest_batch(tiny_batch(0, ["aa"], [2]))
         repo.sig_table(2)
-        more = tiny_batch(0, ["aa"], [2])
-        more.job_ids = ["d0-extra0", "d0-extra1"]
+        more = tiny_batch(0, ["aa"], [2], job_ids=["d0-extra0", "d0-extra1"])
         repo.ingest_batch(more)
         table, slices = repo.sig_table(2)
         assert slices == [(0, 0, 4, 4)]
@@ -176,8 +189,7 @@ class TestGlobalJobIndex:
     def test_cross_day_duplicate_detected_via_merged_index(self):
         repo = WorkloadRepository()
         repo.ingest_batch(tiny_batch(0, ["aa"], [2]))
-        duplicate = tiny_batch(1, ["bb"], [2])
-        duplicate.job_ids = ["d0-j0", "d1-j1"]
+        duplicate = tiny_batch(1, ["bb"], [2], job_ids=["d0-j0", "d1-j1"])
         with pytest.raises(ValueError, match="already ingested"):
             repo.ingest_batch(duplicate)
 

@@ -197,7 +197,7 @@ def _spilling_fleet(spill_dir, days: int, include=("peregrine", "steering")):
         plane,
         FleetConfig(
             days=days,
-            jobs_per_day=600,
+            jobs_per_day=2500,
             include=include,
             repo_memory_budget_mb=1,
             repo_spill_dir=str(spill_dir),

@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.peregrine.repository import JobBatch
@@ -50,9 +51,9 @@ class TestStreamingJobSource:
 
     def test_pickle_round_trip_replays(self):
         source = StreamingJobSource(seed=5, days=3, jobs_per_day=50)
-        want = source.day_batch(2).job_ids
+        want = source.day_batch(2).ids.tolist()
         clone = pickle.loads(pickle.dumps(source))
-        assert clone.day_batch(2).job_ids == want
+        assert clone.day_batch(2).ids.tolist() == want
 
     def test_rejects_zero_days(self):
         with pytest.raises(ValueError):
@@ -70,8 +71,8 @@ class TestStreamingJobSource:
             assert len(jobs) > 1000
             mine = source.day_batch(day)
             theirs = JobBatch.from_jobs(jobs[:1000])
-            assert mine.job_ids == theirs.job_ids
-            assert mine.sig_names == theirs.sig_names
+            assert mine.ids.tolist() == theirs.ids.tolist()
+            assert np.array_equal(mine.sig_digests, theirs.sig_digests)
 
 
 class TestFleetStreaming:
@@ -91,7 +92,7 @@ class TestFleetStreaming:
     def test_streaming_fleet_runs_and_ingests_full_days(self, tmp_path):
         config = FleetConfig(
             days=2,
-            jobs_per_day=1200,
+            jobs_per_day=5000,
             include=("peregrine", "steering"),
             repo_memory_budget_mb=1,
             repo_spill_dir=str(tmp_path / "chunks"),
@@ -179,8 +180,8 @@ class TestDayBatchSource:
         for day in range(2):
             theirs = plain.day_batch(day)
             mine = forced.day_batch(day)
-            assert mine.job_ids == theirs.job_ids
-            assert mine.sig_names == theirs.sig_names
+            assert mine.ids.tolist() == theirs.ids.tolist()
+            assert np.array_equal(mine.sig_digests, theirs.sig_digests)
         assert forced.prefetch_hits == 0
 
     def test_prefetched_day_matches_local_across_world_sizes(
@@ -210,8 +211,8 @@ class TestDayBatchSource:
             for day in range(3):
                 mine = prefetched.day_batch(day)
                 theirs = local.day_batch(day)
-                assert mine.job_ids == theirs.job_ids
-                assert mine.sig_names == theirs.sig_names
+                assert mine.ids.tolist() == theirs.ids.tolist()
+                assert np.array_equal(mine.sig_digests, theirs.sig_digests)
             assert prefetched.prefetch_hits == 2
 
     def test_pickle_drops_pending_and_caches(self):
@@ -220,7 +221,7 @@ class TestDayBatchSource:
         clone = pickle.loads(pickle.dumps(source))
         assert clone._batch_cache is None
         assert clone._pending is None
-        assert clone.day_batch(0).job_ids == source.day_batch(0).job_ids
+        assert clone.day_batch(0).ids.tolist() == source.day_batch(0).ids.tolist()
 
     @pytest.mark.skipif(
         "REPRO_PARALLEL_FORCE" not in __import__("os").environ,
@@ -234,11 +235,9 @@ class TestDayBatchSource:
         for day in range(3):
             theirs = plain.day_batch(day)
             mine = overlapped.day_batch(day)
-            assert mine.job_ids == theirs.job_ids
-            assert mine.sig_names == theirs.sig_names
-            assert list(mine.deps_map.items()) == list(
-                theirs.deps_map.items()
-            )
+            assert mine.ids.tolist() == theirs.ids.tolist()
+            assert np.array_equal(mine.sig_digests, theirs.sig_digests)
+            assert mine.deps.items() == theirs.deps.items()
         assert overlapped.prefetch_hits >= 1
 
     @pytest.mark.skipif(

@@ -83,6 +83,58 @@ class TestHoltWinters:
             with pytest.raises(ValueError):
                 HoltWinters(period=4, **bad)
 
+    @given(
+        period=st.integers(2, 30),
+        extra=st.integers(0, 60),
+        smoothing=st.tuples(
+            *[st.floats(0.001, 0.999, allow_nan=False)] * 3
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_recursion_equals_numpy_scalar_recursion(
+        self, period, extra, smoothing, data
+    ):
+        n = 2 * period + extra
+        series = np.asarray(
+            data.draw(
+                st.lists(
+                    st.floats(-1e6, 1e6, allow_nan=False),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+        alpha, beta, gamma = smoothing
+        model = HoltWinters(period, alpha, beta, gamma).fit(series)
+        level, trend, seasonal = _numpy_scalar_fit(
+            series, period, alpha, beta, gamma
+        )
+        assert model._level == level and type(model._level) is type(level)
+        assert model._trend == trend
+        assert np.array_equal(model._seasonal, seasonal)
+        assert model._seasonal.dtype == seasonal.dtype
+        steps = np.arange(1, 25)
+        want = level + steps * trend + seasonal[(n + steps - 1) % period]
+        assert np.array_equal(model.forecast(24), want)
+
+
+def _numpy_scalar_fit(arr, m, alpha, beta, gamma):
+    """The Holt-Winters recursion on numpy scalars, as it first ran."""
+    season1 = arr[:m].mean()
+    season2 = arr[m : 2 * m].mean()
+    level = season1
+    trend = (season2 - season1) / m
+    seasonal = arr[:m] - season1
+    for t in range(m, arr.size):
+        value = arr[t]
+        idx = t % m
+        prev_level = level
+        level = alpha * (value - seasonal[idx]) + (1 - alpha) * (level + trend)
+        trend = beta * (level - prev_level) + (1 - beta) * trend
+        seasonal[idx] = gamma * (value - level) + (1 - gamma) * seasonal[idx]
+    return level, trend, seasonal
+
 
 class TestDecompose:
     def test_components_sum_to_series(self):

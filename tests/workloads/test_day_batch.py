@@ -22,21 +22,21 @@ from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 def assert_batches_identical(batch: JobBatch, ref: JobBatch) -> None:
     """Field-by-field structural equality (pools compared by value)."""
     assert batch.day == ref.day
-    assert batch.job_ids == ref.job_ids
+    assert batch.ids.tolist() == ref.ids.tolist()
     assert np.array_equal(batch.submit_hours, ref.submit_hours)
     assert np.array_equal(batch.plan_codes, ref.plan_codes)
     assert np.array_equal(batch.param_codes, ref.param_codes)
     assert list(batch.plans) == list(ref.plans)
-    assert batch.plan_templates == ref.plan_templates
-    assert batch.plan_stricts == ref.plan_stricts
-    for name in ("sig_codes", "sig_offsets"):
+    for name in (
+        "template_digests", "strict_digests", "sig_codes", "sig_offsets",
+        "sig_digests", "sig_sizes",
+    ):
         mine, theirs = getattr(batch, name), getattr(ref, name)
         assert np.array_equal(mine, theirs)
         assert mine.dtype == theirs.dtype
-    assert batch.sig_names == ref.sig_names
-    assert batch.sig_sizes == ref.sig_sizes
-    assert batch.params_pool == ref.params_pool
-    assert list(batch.deps_map.items()) == list(ref.deps_map.items())
+    assert len(batch.params) == len(ref.params)
+    assert batch.params.dicts == ref.params.dicts
+    assert batch.deps.items() == ref.deps.items()
 
 
 CONFIGS = {
@@ -75,7 +75,7 @@ class TestFusedDayBatch:
         ]
         mixed = ScopeWorkloadGenerator(rng=11, config=config)
         assert_batches_identical(mixed.day_batch(0), refs[0])
-        assert [j.job_id for j in mixed.day_jobs(1)] == refs[1].job_ids
+        assert [j.job_id for j in mixed.day_jobs(1)] == refs[1].ids.tolist()
         assert_batches_identical(mixed.day_batch(2), refs[2])
         # random access backwards replays from the cached day state
         assert_batches_identical(mixed.day_batch(1), refs[1])

@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.peregrine.repository import hex_names
 from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 GOLDEN = Path(__file__).parent / "data" / "scope_day_digests.json"
@@ -42,10 +43,20 @@ DAYS = 3
 RANDOM_ORDER = (2, 0, 1)
 
 _ARRAYS = ("submit_hours", "plan_codes", "param_codes", "sig_codes", "sig_offsets")
-_LISTS = (
-    "job_ids", "plan_templates", "plan_stricts", "sig_names", "sig_sizes",
-    "params_pool",
-)
+
+
+def _pools(batch) -> tuple:
+    """The batch's pools as the lists the digests were captured over:
+    job ids, plan template and strict names, signature names and sizes,
+    and one parameter dict per code."""
+    return (
+        batch.ids.tolist(),
+        hex_names(batch.template_digests),
+        hex_names(batch.strict_digests),
+        hex_names(batch.sig_digests),
+        batch.sig_sizes.tolist(),
+        [batch.params[code] for code in range(len(batch.params))],
+    )
 
 
 def _world(jobs_per_day: int, seed: int) -> ScopeWorkloadGenerator:
@@ -61,9 +72,9 @@ def batch_digest(batch) -> str:
         arr = getattr(batch, name)
         h.update(arr.dtype.str.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
-    for name in _LISTS:
-        h.update(repr(getattr(batch, name)).encode())
-    h.update(repr(list(batch.deps_map.items())).encode())
+    for pool in _pools(batch):
+        h.update(repr(pool).encode())
+    h.update(repr(batch.deps.items()).encode())
     for code in range(len(batch.plans)):
         h.update(repr(batch.plans[code]).encode())
     return h.hexdigest()
