@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.peregrine.repository import WorkloadRepository
+from repro.core.peregrine.repository import SharingFold, WorkloadRepository
 from repro.parallel import ShmArray, attach, pmap, resolve_workers
 
 
@@ -43,19 +43,14 @@ class WorkloadStatistics:
 def _recurring_fraction(repo: WorkloadRepository) -> tuple[float, int, float]:
     """Jobs whose template appears on more than one day are recurring.
 
-    Folded from the repository's incremental per-template counters —
-    no record scan, so the cost is bounded by structural diversity
-    (#unique template signatures), not workload size.
+    Read from the running totals the repository keeps per ingested
+    template — no record scan, and no Python pass over the templates.
     """
-    stats = repo.template_stats()
-    recurring_jobs = sum(
-        count for n_days, count in stats.values() if n_days > 1
-    )
-    counts = [count for _n_days, count in stats.values()]
+    recurring_jobs, n_templates, counts = repo.template_totals()
     return (
         recurring_jobs / max(len(repo), 1),
-        len(stats),
-        float(np.median(counts)) if counts else 0.0,
+        n_templates,
+        float(np.median(counts)) if len(counts) else 0.0,
     )
 
 
@@ -143,19 +138,17 @@ def analyze(
     process pool.  The parallel path publishes the repository's
     (job, signature) rows to shared memory **once** and sends workers
     only per-day row slices — no pickled object lists cross the pool
-    boundary.  The serial path folds the repository's cached per-day
-    summaries, so re-analysis after each ingested day costs one day,
-    not the whole history.  Serial or parallel, the statistics are
-    byte-identical for every worker count.
+    boundary.  The serial path reads the repository's running fold of
+    its cached per-day summaries (``WorkloadRepository.sharing_fold``)
+    and the template totals it keeps, so re-analysis after each ingested
+    day costs that day, not the whole history.  Serial or parallel, the
+    statistics are byte-identical for every worker count.
     """
     if len(repo) == 0:
         raise ValueError("repository is empty")
     recurring, n_templates, p50 = _recurring_fraction(repo)
     if resolve_workers(workers) <= 1:
-        day_results = [
-            repo.day_sharing_summary(day, min_subexpr_size)
-            for day in repo.days()
-        ]
+        fold = repo.sharing_fold(min_subexpr_size)
     else:
         table, slices = _day_table(repo, min_subexpr_size)
         with ShmArray(table) as publication:
@@ -167,19 +160,14 @@ def analyze(
                 ],
                 workers=workers,
             )
-    day_fractions = []
-    best_shared: dict[str, int] = {}
-    for _day, n_day_jobs, n_sharing, shared_sigs in day_results:
-        day_fractions.append(n_sharing / max(n_day_jobs, 1))
-        for sig, n_jobs in shared_sigs.items():
-            best_shared[sig] = max(best_shared.get(sig, 0), n_jobs)
-    top = sorted(best_shared.items(), key=lambda kv: -kv[1])[:10]
+        fold = SharingFold()
+        fold.update(day_results)
     return WorkloadStatistics(
         n_jobs=len(repo),
         n_templates=n_templates,
         recurring_job_fraction=recurring,
-        shared_subexpression_fraction=float(np.mean(day_fractions)),
+        shared_subexpression_fraction=float(np.mean(fold.fractions)),
         dependency_fraction=_dependency_fraction(repo),
         jobs_per_template_p50=p50,
-        top_shared_signatures=top,
+        top_shared_signatures=list(fold.top),
     )

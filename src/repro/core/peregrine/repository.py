@@ -28,6 +28,7 @@ import pickle
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -200,6 +201,14 @@ class StrColumn:
         column.extend_strs(strs)
         return column
 
+    @classmethod
+    def from_buffers(cls, blob: np.ndarray, ends: np.ndarray) -> "StrColumn":
+        """Strings given as their ``u1`` bytes and cumulative end offsets."""
+        column = cls()
+        if len(ends):
+            column._add(blob, ends)
+        return column
+
     def __len__(self) -> int:
         return len(self.ends)
 
@@ -283,12 +292,24 @@ class DepsCSR:
     @classmethod
     def from_lists(cls, rows, lists: list[tuple[str, ...]]) -> "DepsCSR":
         """Consumer ``rows`` (ascending) and each one's ``depends_on``."""
+        if not len(rows):
+            return cls()
+        lens = np.fromiter(map(len, lists), np.int64, len(lists))
+        return cls.from_columns(
+            rows,
+            np.cumsum(lens),
+            StrColumn.from_strs(list(chain.from_iterable(lists))),
+        )
+
+    @classmethod
+    def from_columns(cls, rows, ends, ids: StrColumn) -> "DepsCSR":
+        """Consumer ``rows`` (ascending); row ``rows[i]``'s ids end at
+        ``ends[i]`` in ``ids``."""
         deps = cls()
         if len(rows):
             deps.rows.extend(np.asarray(rows, dtype=np.int64))
-            lens = np.fromiter(map(len, lists), np.int64, len(lists))
-            deps.offsets.extend(np.cumsum(lens))
-            deps.ids.extend_strs(list(chain.from_iterable(lists)))
+            deps.offsets.extend(ends)
+            deps.ids = ids
         return deps
 
     def __len__(self) -> int:
@@ -452,7 +473,25 @@ class PlanPool:
                 if isinstance(item, Expression)
             }
             codes = [code for code in range(len(items)) if code not in objects]
-            self._fill(len(items), objects, codes, [items[c] for c in codes])
+            recipes = [items[c] for c in codes]
+            # Names intern in code order, as appends would: each
+            # recipe's table, column and join table in turn.
+            names: list[str | None] = [None] * (3 * len(recipes))
+            names[0::3] = [recipe[0] for recipe in recipes]
+            names[1::3] = [recipe[1] for recipe in recipes]
+            names[2::3] = [recipe[3] for recipe in recipes]
+            interned = [n for n in dict.fromkeys(names) if n is not None]
+            index = {name: code for code, name in enumerate(interned)}
+            # No join table (None) codes as -1.
+            coded = np.fromiter(
+                map(index.get, names, repeat(-1)), np.int32, len(names)
+            ).reshape(-1, 3)
+            rows = np.zeros(len(recipes), dtype=_RECIPE)
+            for k, field in enumerate(("table", "column", "join")):
+                rows[field] = coded[:, k]
+            rows["value"] = [recipe[2] for recipe in recipes]
+            rows["aggregate"] = [recipe[4] for recipe in recipes]
+            self._fill(len(items), objects, codes, interned, rows)
 
     @classmethod
     def with_recipes(
@@ -460,43 +499,25 @@ class PlanPool:
         n: int,
         objects: dict[int, Expression],
         codes,
-        recipes: list[tuple],
+        names: list[str],
+        rows: np.ndarray,
     ) -> "PlanPool":
-        """``n`` entries: ``objects`` by code, recipe ``k`` at ``codes[k]``.
-
-        A recipe is any tuple starting ``(table, column, value,
-        join_table, aggregate)``; later fields are ignored.
-        """
+        """``n`` entries: ``objects`` by code, recipe row ``k`` at
+        ``codes[k]``, its names coded into ``names`` (no join: -1)."""
         pool = cls()
-        pool._fill(n, objects, codes, recipes)
+        pool._fill(n, objects, codes, names, rows)
         return pool
 
-    def _fill(self, n: int, objects: dict, codes, recipes: list[tuple]) -> None:
+    def _fill(
+        self, n: int, objects: dict, codes, names: list[str], rows: np.ndarray
+    ) -> None:
         self.objects = objects
-        rows = np.zeros(n, dtype=_RECIPE)
-        if recipes:
-            order = np.argsort(codes, kind="stable")
-            ordered = [recipes[k] for k in order.tolist()]
-            # Names intern in code order, as appends would: each
-            # recipe's table, column and join table in turn.
-            names: list[str | None] = [None] * (3 * len(ordered))
-            names[0::3] = [recipe[0] for recipe in ordered]
-            names[1::3] = [recipe[1] for recipe in ordered]
-            names[2::3] = [recipe[3] for recipe in ordered]
-            self.names = [n for n in dict.fromkeys(names) if n is not None]
-            index = self._name_index = {
-                name: code for code, name in enumerate(self.names)
-            }
-            # No join table (None) codes as -1.
-            coded = np.fromiter(
-                map(index.get, names, repeat(-1)), np.int32, len(names)
-            ).reshape(-1, 3)
-            at = np.asarray(codes)[order]
-            for k, field in enumerate(("table", "column", "join")):
-                rows[field][at] = coded[:, k]
-            rows["value"][at] = [recipe[2] for recipe in ordered]
-            rows["aggregate"][at] = [recipe[4] for recipe in ordered]
-        self.recipes.extend(rows)
+        self.names = names
+        self._name_index = None
+        column = np.zeros(n, dtype=_RECIPE)
+        if len(rows):
+            column[np.asarray(codes)] = rows
+        self.recipes.extend(column)
 
     def __len__(self) -> int:
         return len(self.recipes)
@@ -1528,6 +1549,88 @@ class _RecordsView:
 # ---------------------------------------------------------------------------
 
 
+#: How many shared signatures ``analyze`` reports.
+_TOP_SHARED = 10
+
+
+class SharingFold:
+    """A running fold of per-day sharing summaries.
+
+    Per day: the fraction of its jobs sharing a subexpression.  Per
+    shared signature, in first-sighting order: its best single-day job
+    count.  And the ten best of those, count descending with ties in
+    first-sighting order — ``sorted(best.items(), key=-count)[:10]``,
+    kept without re-sorting: a fold can only raise counts, so the new
+    ten come from the old ten plus the signatures the fold touched.
+
+    Days are ingested append-only, so :meth:`update` folds only days it
+    has not seen.  The last folded day is journaled: when it grew, it
+    is unfolded and folded again; any other change folds from scratch.
+    """
+
+    def __init__(self) -> None:
+        self.days: list[tuple[int, int]] = []   # (day, n_jobs) folded
+        self.fractions: list[float] = []
+        self.best: dict[str, int] = {}
+        self.first: dict[str, int] = {}         # sig -> position in best
+        self.top: list[tuple[str, int]] = []
+        # The last day's (added sigs, replaced counts, previous top).
+        self._journal: tuple[list, dict, list] | None = None
+
+    def update(self, summaries: list[tuple[int, int, int, dict]]) -> None:
+        keys = [(day, n_jobs) for day, n_jobs, _n, _shared in summaries]
+        n = len(self.days)
+        if keys[:n] != self.days:
+            if (
+                n
+                and len(keys) >= n
+                and keys[:n - 1] == self.days[:-1]
+                and keys[n - 1][0] == self.days[-1][0]
+            ):
+                self._unfold_last()
+            else:
+                self.__init__()
+        for summary in summaries[len(self.days):]:
+            self._fold(summary)
+
+    def _fold(self, summary: tuple[int, int, int, dict]) -> None:
+        day, n_jobs, n_sharing, shared = summary
+        best, first = self.best, self.first
+        added: list[str] = []
+        replaced: dict[str, int] = {}
+        for sig, count in shared.items():
+            old = best.get(sig)
+            if old is None:
+                first[sig] = len(best)
+                best[sig] = count
+                added.append(sig)
+            elif count > old:
+                replaced[sig] = old
+                best[sig] = count
+        touched = dict(self.top)
+        for sig in added:
+            touched[sig] = best[sig]
+        for sig in replaced:
+            touched[sig] = best[sig]
+        self._journal = (added, replaced, self.top)
+        self.top = sorted(
+            touched.items(), key=lambda kv: (-kv[1], first[kv[0]])
+        )[:_TOP_SHARED]
+        self.days.append((day, n_jobs))
+        self.fractions.append(n_sharing / max(n_jobs, 1))
+
+    def _unfold_last(self) -> None:
+        added, replaced, top = self._journal
+        for sig in added:
+            del self.best[sig]
+            del self.first[sig]
+        self.best.update(replaced)
+        self.top = top
+        self.days.pop()
+        self.fractions.pop()
+        self._journal = None
+
+
 class WorkloadRepository:
     """Signature-indexed store of everything the platform has seen.
 
@@ -1546,6 +1649,9 @@ class WorkloadRepository:
         self._table = JobTable(memory_budget_bytes, spill_dir)
         # sig -> [set of days, instance count], first-sighting order.
         self._template_stats: dict[str, list] = {}
+        # Instances of templates seen on more than one day, kept as
+        # templates fold in; derived, so never pickled.
+        self._recurring_instances = 0
         # The open day's share of it since the day (re)opened: sig ->
         # instances.  With a spill dir each closed share is written,
         # with the day's sharing summaries, to a write-once facts file.
@@ -1558,6 +1664,9 @@ class WorkloadRepository:
         # min_size -> append-only whole-history (job, sig) block; see
         # :meth:`sig_table`.  Derived, potentially large: never pickled.
         self._sig_table_cache: dict[int, dict] = {}
+        # min_size -> running fold of the day summaries; derived, never
+        # pickled (see :meth:`sharing_fold`).
+        self._sharing_folds: dict[int, SharingFold] = {}
 
     def __len__(self) -> int:
         return self._table.n_jobs
@@ -1605,9 +1714,16 @@ class WorkloadRepository:
         stat = self._template_stats.get(template)
         if stat is None:
             self._template_stats[template] = [{day}, count]
-        else:
-            stat[0].add(day)
-            stat[1] += count
+            return
+        days = stat[0]
+        if day not in days:
+            days.add(day)
+            if len(days) == 2:
+                # Recurring from now on: its earlier instances count too.
+                self._recurring_instances += stat[1]
+        if len(days) > 1:
+            self._recurring_instances += count
+        stat[1] += count
 
     def ingest_job(self, job: Job) -> JobRecord:
         # One bottom-up pass hashes every node; the full-plan signatures
@@ -1732,6 +1848,23 @@ class WorkloadRepository:
         )
 
     # -- incremental statistics ----------------------------------------------
+    def template_totals(self) -> tuple[int, int, np.ndarray]:
+        """Instances of templates seen on more than one day, distinct
+        templates, and each template's instances (first-sighting order).
+
+        The first is kept as templates fold in; the counts are read off
+        the live per-template stats in one C-level pass, with no
+        per-template tuple as :meth:`template_stats` builds.
+        """
+        stats = self._template_stats
+        return (
+            self._recurring_instances,
+            len(stats),
+            np.fromiter(
+                map(itemgetter(1), stats.values()), np.int64, len(stats)
+            ),
+        )
+
     def template_stats(self) -> dict[str, tuple[int, int]]:
         """sig -> (distinct days, instances), first-sighting order."""
         return {
@@ -1779,6 +1912,17 @@ class WorkloadRepository:
         summary = (day, n_jobs, n_sharing, shared)
         self._day_summaries[key] = (n_jobs, summary)
         return summary
+
+    def sharing_fold(self, min_size: int = 2) -> SharingFold:
+        """Every day's :meth:`day_sharing_summary` folded, kept between
+        calls: a call folds only days new or changed since the last."""
+        fold = self._sharing_folds.get(min_size)
+        if fold is None:
+            fold = self._sharing_folds[min_size] = SharingFold()
+        fold.update(
+            [self.day_sharing_summary(day, min_size) for day in self.days()]
+        )
+        return fold
 
     def day_sig_table(self, day: int, min_size: int = 2):
         """(local_rows, sig_bytes, n_jobs) for the shared-memory table."""
@@ -1922,6 +2066,8 @@ class WorkloadRepository:
         # The whole-history sig block is derived and can be tens of MB;
         # checkpoints rebuild it lazily on the first analyze.
         state["_sig_table_cache"] = {}
+        del state["_recurring_instances"]
+        del state["_sharing_folds"]
         if self._table.spill_dir is not None:
             # Closed days live in the facts files: only the open day's
             # template counts and summaries travel inline.  A closed
@@ -1937,6 +2083,12 @@ class WorkloadRepository:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.__dict__.setdefault("_sig_table_cache", {})
+        self._sharing_folds = {}
+        self._recurring_instances = sum(
+            count
+            for days, count in (self._template_stats or {}).values()
+            if len(days) > 1
+        )
         if self._template_stats is None:
             inline_summaries = self._day_summaries
             self._template_stats, self._day_summaries = {}, {}

@@ -21,11 +21,12 @@ The generator is calibrated to those statistics:
 from __future__ import annotations
 
 import gc
+import math
 from binascii import hexlify
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha1
-from operator import attrgetter, length_hint
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -43,15 +44,11 @@ from repro.engine import (
     Scan,
     TableDef,
 )
-from repro.engine.signatures import (
-    _digest,
-    enumerate_all_signatures,
-    signatures,
-)
+from repro.engine.signatures import _SIG_ATTR, PlanSignatures, _digest
 from repro.parallel import DEFAULT_N_SHARDS, shard_items
 
 if TYPE_CHECKING:
-    from repro.core.peregrine.repository import JobBatch
+    from repro.core.peregrine.repository import JobBatch, StrColumn
 
 HOURS_PER_DAY = 24.0
 
@@ -242,9 +239,50 @@ class _Fragment:
     column: str
     base_value: float
 
-    def instantiate(self, day: int, drift: float) -> Expression:
-        value = self.base_value * (1.0 + drift * day)
-        return Filter(Scan(self.table), (Predicate(self.column, "<=", value),))
+
+#: Node kinds of a :class:`_RecurringScaffold`.
+_SCAN, _DERIVED_SCAN, _FILTER, _JOIN, _AGGREGATE = range(5)
+
+
+class _RecurringScaffold(NamedTuple):
+    """Day-independent signature scaffolding for one recurring template.
+
+    A template's plan keeps its shape every day; only its two predicate
+    literals drift (SCOPE recurring jobs are "periodic runs of scripts
+    with the same operations but different predicate values").  So all
+    a day changes is the strict signature of each Filter node and of
+    its ancestors; every template signature, every node size and the
+    strict signature of each literal-free subtree are fixed, and are
+    computed here once.
+
+    ``nodes`` lists the plan in post-order, one
+    ``(kind, arg, left, right, strict_raw, template_raw, size, prefix)``
+    tuple per node:
+
+    - ``arg`` is a Scan's table (a derived scan's upstream template id,
+      its table name built fresh per plan as the constructor call did),
+      or a Filter's or an Aggregate's column;
+    - ``left``/``right`` index earlier nodes (the children), except
+      that a Filter's ``right`` is its literal's slot (0: the
+      fragment's, 1: the template's);
+    - ``strict_raw`` is the raw 8-byte strict digest of a literal-free
+      node, ``None`` where it changes daily;
+    - ``prefix`` is the strict payload up to the literal (Filter) or the
+      children (Join, Aggregate), for nodes re-hashed daily.
+    """
+
+    nodes: tuple[tuple, ...]
+    template_raw: bytes   # raw template digest of the whole plan
+
+
+class _Instance(NamedTuple):
+    """One day's plan of a template, with what ingest reads of it."""
+
+    plan: Expression
+    params: dict
+    strict_raw: bytes             # raw strict digest of the whole plan
+    sig_raws: list[bytes]         # distinct strict digests, post-order
+    sig_sizes: list[int]          # node count of each
 
 
 @dataclass
@@ -263,62 +301,150 @@ class _Template:
     upstream_template: int | None = None  # producer in the pipeline
     output_table: str | None = None       # derived table this job writes
 
-    def instantiate(self, day: int, drift: float) -> tuple[Expression, dict]:
-        value = self.filter_base_value * (1.0 + drift * day)
+    def scaffold(self) -> _RecurringScaffold:
+        """The plan's shape and fixed signatures (see
+        :class:`_RecurringScaffold`); a pure function of the template."""
+        nodes: list[tuple] = []
+        # Per node: (strict sig or None, template sig, size).
+        sigs: list[tuple[str | None, str, int]] = []
+
+        def add(kind, arg, desc, children=(), literal=None,
+                template_desc=None):
+            strict_kids = [sigs[c][0] for c in children]
+            template_kids = "|".join(sigs[c][1] for c in children)
+            template = _digest(f"{template_desc or desc}({template_kids})")
+            size = 1 + sum(sigs[c][2] for c in children)
+            if literal is not None or None in strict_kids:
+                strict = None
+                prefix = desc if literal is not None else f"{desc}("
+            else:
+                strict = _digest(f"{desc}({'|'.join(strict_kids)})")
+                prefix = None
+            left, right = (tuple(children) + (-1, -1))[:2]
+            if literal is not None:
+                right = literal
+            nodes.append((
+                kind, arg, left, right,
+                None if strict is None else bytes.fromhex(strict),
+                bytes.fromhex(template), size, prefix,
+            ))
+            sigs.append((strict, template, size))
+            return len(nodes) - 1
+
+        def filt(child, column, slot):
+            return add(
+                _FILTER, column, f"Filter:{column}<=", (child,), literal=slot,
+                template_desc=f"Filter:{column}<=?",
+            )
+
+        def fragment_filter():
+            fragment = self.fragment
+            scan = add(_SCAN, fragment.table, f"Scan:{fragment.table}")
+            return filt(scan, fragment.column, 0)
+
         if self.upstream_template is not None:
             # Consumers read their producer's derived output table,
             # enriching it with the shared fragment when they have one.
-            core: Expression = Scan(f"out_t{self.upstream_template}")
+            upstream = self.upstream_template
+            core = add(_DERIVED_SCAN, upstream, f"Scan:out_t{upstream}")
             if self.fragment is not None:
-                core = Join(
-                    core, self.fragment.instantiate(day, drift), "key", "key"
+                core = add(
+                    _JOIN, None, "Join:key=key", (core, fragment_filter())
                 )
         elif self.fragment is not None:
-            core = self.fragment.instantiate(day, drift)
+            core = fragment_filter()
         else:
-            core = Scan(self.base_table)
+            core = add(_SCAN, self.base_table, f"Scan:{self.base_table}")
         if self.join_table is not None:
-            core = Join(core, Scan(self.join_table), "key", "key")
-        core = Filter(core, (Predicate(self.filter_column, "<=", value),))
+            right = add(_SCAN, self.join_table, f"Scan:{self.join_table}")
+            core = add(_JOIN, None, "Join:key=key", (core, right))
+        core = filt(core, self.filter_column, 1)
         if self.group_column is not None:
-            core = Aggregate(core, (self.group_column,))
-        params = {"filter_value": value}
-        if self.fragment is not None:
-            params["fragment_value"] = self.fragment.base_value * (
-                1.0 + drift * day
+            add(
+                _AGGREGATE, self.group_column,
+                f"Aggregate:{self.group_column}", (core,),
             )
-        return core, params
+        return _RecurringScaffold(tuple(nodes), nodes[-1][5])
 
+    def instantiate(
+        self, day: int, drift: float, scaffold: _RecurringScaffold
+    ) -> _Instance:
+        """The template's plan on ``day``: the one recurring-plan builder.
 
-@dataclass
-class _AdhocShape:
-    """Day-independent signature scaffolding for one ad-hoc plan shape.
-
-    Ad-hoc plans come in exactly four shapes (filter-scan, optionally
-    joined to a second scan, capped by an aggregate or a project), so
-    everything except the predicate literal is cacheable per
-    ``(table, column, join_table, aggregate)``: the scan signatures,
-    the template signatures (literals are masked, so they carry no
-    per-job information), and the strict-payload prefixes the per-job
-    digests are folded into.  The fused batch path then needs only
-    2–3 SHA1 calls per ad-hoc job instead of a full signature walk.
-
-    The payload pieces are kept as *bytes* and the per-node names as
-    the raw first 8 digest bytes: a 16-hex-char signature name is a
-    bijective encoding of those 8 bytes, so the interning pass can run
-    ``np.unique`` over a uint64 view and the batch keeps the digests —
-    a name is hexed only when something reads it.
-    """
-
-    scan_raw: bytes          # raw 8-byte digest of Scan(table)
-    jscan_raw: bytes | None  # Scan(join_table), when joined
-    filt_pre: bytes          # strict Filter payload up to the literal
-    filt_post: bytes         # strict Filter payload after the literal
-    join_pre: bytes | None   # strict Join payload around the filter sig
-    join_post: bytes | None
-    root_pre: bytes          # strict root payload up to the child sig
-    root_size: int           # node count of the full plan
-    root_template: bytes     # raw template digest of the full plan
+        Stamps the plan from ``scaffold`` (``self.scaffold()``, cached by
+        the generator) and memoizes every node's signatures and size, as
+        :func:`~repro.engine.signatures.signatures` and ``size`` would:
+        only the Filter nodes and their ancestors are hashed, two to five
+        SHA1 calls instead of a walk over the whole plan.  Nodes are
+        filled through ``__dict__`` in field order, like
+        :meth:`AdhocRecipe.build`, and every node gets its own strict and
+        template strings (two equal signatures stay distinct objects), so
+        the plan pickles exactly as the constructor-built, walked tree.
+        """
+        scale = 1.0 + drift * day
+        value = self.filter_base_value * scale
+        params = {"filter_value": value}
+        literals = [None, value]
+        if self.fragment is not None:
+            literals[0] = params["fragment_value"] = (
+                self.fragment.base_value * scale
+            )
+        built: list[Expression] = []
+        stricts: list[str] = []
+        raws: list[bytes] = []
+        # ``PlanSignatures(strict, template)`` without its Python __new__.
+        new_sigs = tuple.__new__
+        for kind, arg, left, right, raw, template_raw, size, prefix in (
+            scaffold.nodes
+        ):
+            if kind == _FILTER:
+                literal = literals[right]
+                pred = Predicate.__new__(Predicate)
+                pd = pred.__dict__
+                pd["column"] = arg
+                pd["op"] = "<="
+                pd["value"] = literal
+                node = Filter.__new__(Filter)
+                nd = node.__dict__
+                nd["child"] = built[left]
+                nd["predicates"] = (pred,)
+                payload = f"{prefix}{literal!r}({stricts[left]})"
+            elif kind == _JOIN:
+                node = Join.__new__(Join)
+                nd = node.__dict__
+                nd["left"] = built[left]
+                nd["right"] = built[right]
+                nd["left_key"] = "key"
+                nd["right_key"] = "key"
+                payload = f"{prefix}{stricts[left]}|{stricts[right]})"
+            elif kind == _AGGREGATE:
+                node = Aggregate.__new__(Aggregate)
+                nd = node.__dict__
+                nd["child"] = built[left]
+                nd["group_by"] = (arg,)
+                payload = f"{prefix}{stricts[left]})"
+            else:
+                node = Scan.__new__(Scan)
+                nd = node.__dict__
+                nd["table"] = arg if kind == _SCAN else f"out_t{arg}"
+            if raw is None:
+                raw = sha1(payload.encode()).digest()[:8]
+            strict = raw.hex()
+            nd[_SIG_ATTR] = new_sigs(
+                PlanSignatures, (strict, template_raw.hex())
+            )
+            nd["_memo_size"] = size
+            built.append(node)
+            stricts.append(strict)
+            raws.append(raw)
+        # ``enumerate_all_signatures``'s map: first node per strict sig.
+        distinct: dict[bytes, int] = {}
+        for raw, node_spec in zip(raws, scaffold.nodes):
+            distinct.setdefault(raw, node_spec[6])
+        return _Instance(
+            built[-1], params, raws[-1], list(distinct),
+            list(distinct.values()),
+        )
 
 
 @lru_cache(maxsize=4096)
@@ -400,33 +526,30 @@ _LOW32 = 0xFFFFFFFF
 #: Largest range a 32-bit bounded draw covers (numpy switches to a
 #: 64-bit algorithm beyond it).
 _MAX_RANGE32 = 1 << 32
+#: ``random() < 0.5`` exactly when the raw output is below this: the
+#: draw is the top 53 bits over 2**53, so it is under a half iff the
+#: top bit is clear.
+_HALF = 1 << 63
+_HALF_U64 = np.uint64(_HALF)
+_SHIFT11 = np.uint64(11)
 
 
 class _RawDraws:
-    """``Generator.random()`` and ``integers(0, m)``, from raw PCG64 output.
+    """Blocks of raw PCG64 output, and the generator wound to match.
 
-    A numpy scalar call costs microseconds of dispatch around a few
-    integer operations.  This pulls blocks of raw 64-bit outputs with
-    ``bit_generator.random_raw`` and does those operations in Python,
-    exactly as numpy's C code does them:
-
-    - ``random()`` is ``(u64 >> 11) * 2**-53``;
-    - ``integers(m)`` is numpy's 32-bit Lemire rejection sampler over
-      PCG64's half-word buffer: a 32-bit draw takes the buffered high
-      half of the previous output when one is waiting (``has_uint32``,
-      ``uinteger``), else the low half of a fresh output, buffering its
-      high half.  ``m == 1`` draws nothing.
-
+    Code that replays ``Generator.random()`` and ``integers(0, m)``
+    calls from raw outputs (see :func:`_decode_adhoc`) takes words with
+    :meth:`block`, then records in ``used``, ``has32`` and ``buf32``
+    how many it consumed and the half-word buffer it ended with.
     Leaving the ``with`` block winds the generator to exactly where the
     scalar calls would have left it: the start state, ``advance`` by the
-    outputs consumed, then the half-word buffer written back.  Nothing
-    else may draw from the generator inside the block.
+    words used, then the half-word buffer written back.  Nothing else
+    may draw from the generator inside the block.
     """
 
-    __slots__ = ("_bitgen", "_start", "_block", "_drawn", "_left", "_next",
-                 "_has32", "_buf32")
+    __slots__ = ("_bitgen", "_start", "used", "has32", "buf32")
 
-    def __init__(self, rng: np.random.Generator, block: int = 4096) -> None:
+    def __init__(self, rng: np.random.Generator) -> None:
         bitgen = rng.bit_generator
         if not isinstance(bitgen, np.random.PCG64):
             raise TypeError(
@@ -435,12 +558,9 @@ class _RawDraws:
             )
         self._bitgen = bitgen
         self._start = bitgen.state
-        self._has32 = self._start["has_uint32"]
-        self._buf32 = self._start["uinteger"]
-        self._block = block
-        self._drawn = 0
-        self._left = iter(())
-        self._next = self._left.__next__
+        self.has32: int = self._start["has_uint32"]
+        self.buf32: int = self._start["uinteger"]
+        self.used = 0
 
     def __enter__(self) -> "_RawDraws":
         return self
@@ -448,49 +568,387 @@ class _RawDraws:
     def __exit__(self, *exc) -> None:
         bitgen = self._bitgen
         bitgen.state = self._start
-        bitgen.advance(self._drawn - length_hint(self._left))
+        bitgen.advance(self.used)
         state = bitgen.state
-        state["has_uint32"] = self._has32
-        state["uinteger"] = self._buf32
+        state["has_uint32"] = self.has32
+        state["uinteger"] = self.buf32
         bitgen.state = state
 
-    def _refill(self) -> int:
-        self._left = iter(self._bitgen.random_raw(self._block).tolist())
-        self._next = self._left.__next__
-        self._drawn += self._block
-        return self._next()
+    def block(self, n: int) -> np.ndarray:
+        """The next ``n`` raw outputs (``uint64``)."""
+        return self._bitgen.random_raw(n)
 
-    def random(self) -> float:
-        try:
-            u = self._next()
-        except StopIteration:
-            u = self._refill()
-        return (u >> 11) * _DOUBLE_SCALE
 
-    def _next32(self) -> int:
-        if self._has32:
-            self._has32 = 0
-            return self._buf32
-        try:
-            u = self._next()
-        except StopIteration:
-            u = self._refill()
-        self._has32 = 1
-        self._buf32 = u >> 32
-        return u & _LOW32
+class _AdhocLayout(NamedTuple):
+    """What an ad-hoc job can draw, as codes: fixed for a generator.
 
-    def integers(self, m: int) -> int:
-        """A uniform draw from ``range(m)``, for ``1 <= m <= 2**32``."""
-        if not 1 < m <= _MAX_RANGE32:
-            if m == 1:
-                return 0
-            raise ValueError(f"range must be in [1, 2**32], got {m}")
-        prod = self._next32() * m
-        if prod & _LOW32 < m:
-            threshold = (_MAX_RANGE32 - m) % m
-            while prod & _LOW32 < threshold:
-                prod = self._next32() * m
-        return prod >> 32
+    Table codes are the base tables, then the pipeline producers' output
+    tables (producer ``p`` is table ``n_base + p``).  Column codes index
+    one flat list holding, per table, its non-key filter candidates (or
+    its first column when it has none).  Name slots are the table codes,
+    then ``len(tables)`` plus a column code; ``name_values`` numbers each
+    slot's name by value, so equal names share a number.
+    """
+
+    n_base: int
+    n_producers: int
+    #: a raw output below this is a ``random()`` under
+    #: ``adhoc_dependency_fraction``: ``(u >> 11) / 2**53 < f`` exactly
+    #: when ``u >> 11 < ceil(f * 2**53)``.
+    dep_threshold: int
+    n_cands: list[int]          # per table: candidates drawn from
+    col_base: list[int]         # per table: its first column code
+    tables: list[TableDef]
+    columns: list[ColumnStats]
+    col_table: np.ndarray       # column code -> table code
+    col_low: np.ndarray         # f8 per column: ``low``
+    col_span: np.ndarray        # f8 per column: ``high - low``
+    producer_hours: np.ndarray  # f8 per producer: its submit offset
+    producer_tails: list[str]   # per producer: its first job's id tail
+    names: list[str]            # per name slot
+    name_values: np.ndarray     # per name slot: the name's value number
+
+    @classmethod
+    def build(
+        cls,
+        base_tables: list[TableDef],
+        producers: list[tuple[TableDef, str, float]],
+        dependency_fraction: float,
+    ) -> "_AdhocLayout":
+        """The layout of ``base_tables`` and ``producers``, each producer
+        as (output table, first job's id tail, submit-hour offset)."""
+        tables = list(base_tables) + [table for table, _, _ in producers]
+        n_cands: list[int] = []
+        col_base: list[int] = []
+        columns: list[ColumnStats] = []
+        col_table: list[int] = []
+        for code, table in enumerate(tables):
+            candidates = [c for c in table.columns if c.name != "key"]
+            n_cands.append(len(candidates))
+            col_base.append(len(columns))
+            picks = candidates or [table.columns[0]]
+            columns.extend(picks)
+            col_table.extend([code] * len(picks))
+        names = [t.name for t in tables] + [c.name for c in columns]
+        values: dict[str, int] = {}
+        return cls(
+            n_base=len(base_tables),
+            n_producers=len(producers),
+            dep_threshold=math.ceil(dependency_fraction * 2.0**53) << 11,
+            n_cands=n_cands,
+            col_base=col_base,
+            tables=tables,
+            columns=columns,
+            col_table=np.asarray(col_table, dtype=np.int64),
+            col_low=np.asarray([c.low for c in columns], dtype=np.float64),
+            col_span=np.asarray(
+                [c.high - c.low for c in columns], dtype=np.float64
+            ),
+            producer_hours=np.asarray(
+                [hour for _, _, hour in producers], dtype=np.float64
+            ),
+            producer_tails=[tail for _, tail, _ in producers],
+            names=names,
+            name_values=np.asarray(
+                [values.setdefault(name, len(values)) for name in names],
+                dtype=np.int64,
+            ),
+        )
+
+
+class _AdhocDraws(NamedTuple):
+    """A day's ad-hoc draws as columns, one row per job in draw order.
+
+    ``table`` and ``column`` are :class:`_AdhocLayout` codes, ``join``
+    a base table code (-1: no join), ``producer`` the producer a job
+    reads and depends on (-1: none).
+    """
+
+    table: np.ndarray       # i8
+    column: np.ndarray      # i8
+    join: np.ndarray        # i8
+    aggregate: np.ndarray   # bool
+    value: np.ndarray       # f8 predicate literal
+    hour: np.ndarray        # f8 submit hour
+    producer: np.ndarray    # i8
+
+    def recipes(self, layout: _AdhocLayout) -> Iterator[AdhocRecipe]:
+        """Each job's :class:`AdhocRecipe`, in row order."""
+        tables, columns = layout.tables, layout.columns
+        for t, c, j, value, aggregate in zip(
+            self.table.tolist(), self.column.tolist(), self.join.tolist(),
+            self.value.tolist(), self.aggregate.tolist(),
+        ):
+            yield AdhocRecipe(
+                tables[t].name, columns[c].name, value,
+                tables[j].name if j >= 0 else None, aggregate,
+            )
+
+
+class _TailBlob(NamedTuple):
+    """Job-id tails as zero-padded rows of one byte matrix.
+
+    A day's job ids are the day prefix plus a day-independent tail, so a
+    day's id column is a row gather plus one mask, not a string per job.
+    """
+
+    matrix: np.ndarray   # u1, (tails, widest tail)
+    lens: np.ndarray     # i8 per tail
+
+    @classmethod
+    def of(cls, tails: list[str]) -> "_TailBlob":
+        from repro.core.peregrine.repository import StrColumn
+
+        fixed = StrColumn.from_strs(tails).fixed()
+        return cls(
+            fixed.view(np.uint8).reshape(len(tails), fixed.itemsize),
+            np.fromiter(map(len, tails), dtype=np.int64, count=len(tails)),
+        )
+
+    def column(self, prefix: bytes, rows: np.ndarray) -> "StrColumn":
+        """``prefix`` plus tail ``r`` for each ``r`` in ``rows``."""
+        from repro.core.peregrine.repository import StrColumn
+
+        lens = len(prefix) + self.lens[rows]
+        width = len(prefix) + self.matrix.shape[1]
+        matrix = np.empty((len(rows), width), dtype=np.uint8)
+        matrix[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+        matrix[:, len(prefix):] = self.matrix[rows]
+        return StrColumn.from_buffers(
+            matrix[np.arange(width) < lens[:, None]], np.cumsum(lens)
+        )
+
+
+class _DayLayout(NamedTuple):
+    """The day-independent rows of a fused day.
+
+    Recurring job rows are the templates in submit-hour order, each
+    repeated ``instances_per_template`` times; ad-hoc rows follow.  Row
+    ``r``'s job id is the day prefix plus tail ``r``.
+    """
+
+    templates: list[_Template]          # submit-hour order
+    scaffolds: list[_RecurringScaffold]  # one per template
+    rec_offsets: np.ndarray             # f8 hour offset per recurring row
+    tails: _TailBlob                    # per row, recurring then ad-hoc
+    rec_dep_src: np.ndarray             # i8 consumer rows ...
+    rec_dep_dst: np.ndarray             # ... and the rows they depend on
+    producer_rows: np.ndarray           # i8 per producer: its first row
+    # Ad-hoc signature scaffolding.  An ad-hoc plan is a filter-scan,
+    # optionally joined to a second scan, capped by an aggregate or a
+    # project, so everything but the predicate literal is fixed by its
+    # codes: the per-job strict digests are SHA1s over these pieces
+    # (bytes in object arrays, so a day gathers them per job in C) and
+    # the literal.
+    table_scans: np.ndarray             # u8 Scan digest per table code
+    scan_sigs: list[str]                # ... and as names
+    filt_pres: np.ndarray               # per column code: Filter payload
+    filt_posts: np.ndarray              # up to and after the literal
+    filt_templates: list[str]           # Filter template sig per column
+    join_posts: np.ndarray              # per base table: Join payload tail
+    root_pres: np.ndarray               # per 2 * column + aggregate: root
+                                        # payload up to its child's sig
+
+
+class _ShapeTemplates:
+    """Raw template digests of ad-hoc plan shapes, by shape code.
+
+    A shape code packs a job's column code ``c``, join code ``j`` and
+    aggregate flag ``a`` as ``((c * (n_base + 1) + j + 1) << 1) | a`` (the
+    column code fixes the table); literals are masked in template
+    signatures, so the code fixes the plan's.  Each is hashed on first
+    sight, into one dense array over the catalog's shape space.
+    """
+
+    __slots__ = ("digests", "known")
+
+    def __init__(self, n_shapes: int) -> None:
+        self.digests = np.zeros(n_shapes, dtype=np.uint64)
+        self.known = np.zeros(n_shapes, dtype=bool)
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of each raw output: ``(u >> 11) * 2**-53``."""
+    return (words >> _SHIFT11).astype(np.float64) * _DOUBLE_SCALE
+
+
+def _reject32(
+    w: list[int], i: int, has32: int, buf32: int, m: int, prod: int
+) -> tuple[int, int, int, int]:
+    """The rare tail of numpy's 32-bit Lemire sampler: redraw while the
+    product's low half is under ``2**32 % m``."""
+    threshold = (_MAX_RANGE32 - m) % m
+    while prod & _LOW32 < threshold:
+        if has32:
+            has32 = 0
+            prod = buf32 * m
+        else:
+            u = w[i]
+            i += 1
+            has32 = 1
+            buf32 = u >> 32
+            prod = (u & _LOW32) * m
+    return prod, i, has32, buf32
+
+
+def _decode_adhoc(
+    words: np.ndarray,
+    has32: int,
+    buf32: int,
+    n: int,
+    layout: _AdhocLayout,
+    day_start: float,
+) -> tuple[_AdhocDraws, int, int, int]:
+    """Up to ``n`` ad-hoc jobs' draws, decoded from raw PCG64 outputs.
+
+    A pure function of ``words`` and the half-word buffer the day starts
+    with (``has32``, ``buf32``): the values and consumption of the
+    scalar calls the per-job generator made, job by job —
+
+    - ``submit_hour = day_start + 24 * random()``;
+    - with producers, ``random() < adhoc_dependency_fraction`` picks a
+      producer (``integers(n_producers)``) and a later start,
+      ``day_start + min(23.9, hour + 0.5 + 3.5 * random())``, else a
+      base table (``integers(n_base)``);
+    - a filter column (``integers(m)`` over the table's ``m`` non-key
+      columns; none drawn when ``m <= 1``);
+    - ``value = low + (high - low) * random()``;
+    - a join (``random() < 0.5``, then ``integers(n_base)``);
+    - ``aggregate = random() < 0.5``.
+
+    ``random()`` is ``(u >> 11) * 2**-53``; ``integers(m)`` is numpy's
+    32-bit Lemire sampler over PCG64's half-word buffer: a 32-bit draw
+    takes the buffered high half of the previous output when one is
+    waiting, else the low half of a fresh output, buffering its high
+    half (``m == 1`` draws nothing).  One pass over the words decides
+    every branch, as table, column and join codes plus the index of each
+    float draw's word; the floats are then array operations over those
+    indices.  The two ``< 0.5`` tests compare the raw word with
+    ``2**63`` and the dependency test with ``layout.dep_threshold``.
+
+    When the words run out mid-job, decoding stops before that job.
+    Returns the decoded jobs, the words they used, and the half-word
+    buffer after them: the caller continues from ``words[used:]`` plus
+    fresh outputs.
+    """
+    w = words.tolist()
+    n_words = len(w)
+    n_base = layout.n_base
+    n_prod = layout.n_producers
+    dep_threshold = layout.dep_threshold
+    n_cands = layout.n_cands
+    col_base = layout.col_base
+    tables = [0] * n
+    columns = [0] * n
+    joins = [-1] * n
+    hour_at = [0] * n
+    dep_at = [-1] * n
+    value_at = [0] * n
+    agg_at = [0] * n
+    i = done = 0
+    try:
+        for done in range(n):
+            start, start_has32, start_buf32 = i, has32, buf32
+            hour_at[done] = i
+            i += 1
+            dep = False
+            if n_prod:
+                dep = w[i] < dep_threshold
+                i += 1
+            m = n_prod if dep else n_base
+            t = 0
+            if m > 1:
+                if has32:
+                    has32 = 0
+                    prod = buf32 * m
+                else:
+                    u = w[i]
+                    i += 1
+                    has32 = 1
+                    buf32 = u >> 32
+                    prod = (u & _LOW32) * m
+                if prod & _LOW32 < m:
+                    prod, i, has32, buf32 = _reject32(w, i, has32, buf32, m, prod)
+                t = prod >> 32
+            if dep:
+                t += n_base
+                dep_at[done] = i
+                i += 1
+            tables[done] = t
+            m = n_cands[t]
+            c = col_base[t]
+            if m > 1:
+                if has32:
+                    has32 = 0
+                    prod = buf32 * m
+                else:
+                    u = w[i]
+                    i += 1
+                    has32 = 1
+                    buf32 = u >> 32
+                    prod = (u & _LOW32) * m
+                if prod & _LOW32 < m:
+                    prod, i, has32, buf32 = _reject32(w, i, has32, buf32, m, prod)
+                c += prod >> 32
+            columns[done] = c
+            value_at[done] = i
+            if w[i + 1] < _HALF:
+                i += 2
+                m = n_base
+                j = 0
+                if m > 1:
+                    if has32:
+                        has32 = 0
+                        prod = buf32 * m
+                    else:
+                        u = w[i]
+                        i += 1
+                        has32 = 1
+                        buf32 = u >> 32
+                        prod = (u & _LOW32) * m
+                    if prod & _LOW32 < m:
+                        prod, i, has32, buf32 = _reject32(
+                            w, i, has32, buf32, m, prod
+                        )
+                    j = prod >> 32
+                joins[done] = j
+            else:
+                i += 2
+            agg_at[done] = i
+            i += 1
+            if i > n_words:
+                raise IndexError
+        else:
+            done = n
+    except IndexError:
+        i, has32, buf32 = start, start_has32, start_buf32
+
+    t = np.array(tables[:done], dtype=np.int64)
+    c = np.array(columns[:done], dtype=np.int64)
+    dep_word = np.array(dep_at[:done], dtype=np.int64)
+    hour = day_start + 24.0 * _unit(words[hour_at[:done]])
+    deps = np.flatnonzero(dep_word >= 0)
+    producer = np.full(done, -1, dtype=np.int64)
+    if len(deps):
+        producer[deps] = t[deps] - n_base
+        # A consumer cannot start before its producer ran.
+        hour[deps] = day_start + np.minimum(
+            23.9,
+            layout.producer_hours[producer[deps]]
+            + (0.5 + 3.5 * _unit(words[dep_word[deps]])),
+        )
+    draws = _AdhocDraws(
+        table=t,
+        column=c,
+        join=np.array(joins[:done], dtype=np.int64),
+        aggregate=words[agg_at[:done]] < _HALF_U64,
+        value=layout.col_low[c] + layout.col_span[c] * _unit(
+            words[value_at[:done]]
+        ),
+        hour=hour,
+        producer=producer,
+    )
+    return draws, i, has32, buf32
 
 
 def _generator_at(state: dict) -> np.random.Generator:
@@ -534,6 +992,10 @@ class ScopeWorkloadGenerator:
         self._base_tables = self.catalog.tables()
         self._fragments = self._build_fragments()
         self.templates = self._build_templates()
+        # Per-template plan scaffolds (see _Template.scaffold); with the
+        # layouts below, derivable from the templates and dropped from
+        # pickles (see __getstate__): checkpoints stay manifest-sized.
+        self._scaffolds: dict[int, _RecurringScaffold] | None = {}
         self._register_derived_tables()
         self._templates_by_hour = sorted(
             self.templates, key=lambda t: t.submit_hour_offset
@@ -542,28 +1004,12 @@ class ScopeWorkloadGenerator:
         # ``generate()`` starts from, plus the position at the start of
         # every day already replayed — day-addressable random access.
         self._day_states: dict[int, dict] = {0: self._rng.bit_generator.state}
-        # Fused-batch caches, all derivable from the templates above and
-        # rebuilt lazily after pickling (see __getstate__): checkpoints
-        # must stay manifest-sized, not carry 100k+ cached id strings.
-        self._rec_meta: list[tuple[_Template, list[str] | None]] | None = None
-        self._rec_offsets: np.ndarray | None = None
-        self._rec_id_suffixes: list[str] | None = None
-        self._adhoc_id_suffixes: list[str] | None = None
-        self._adhoc_shapes: dict[tuple, _AdhocShape] = {}
-        self._filter_cands: dict[str, tuple[ColumnStats, ...]] = {}
-
-    #: Bound on cached ad-hoc signature scaffolds (FIFO-evicted beyond
-    #: it; re-deriving an evicted shape is bit-identical, so the cap is
-    #: purely a memory bound for month-long runs).  Sized above the
-    #: ~49k distinct shapes a single 1M-job day draws, so hot sets
-    #: never thrash.
-    _ADHOC_SHAPE_CAP = 65536
+        self._day_layout: _DayLayout | None = None
+        self._draw_layout: _AdhocLayout | None = None
+        self._adhoc_shapes: _ShapeTemplates | None = None
 
     #: cache attributes dropped from pickles and rebuilt on first use.
-    _LAZY_CACHES = (
-        "_rec_meta", "_rec_offsets", "_rec_id_suffixes",
-        "_adhoc_id_suffixes", "_adhoc_shapes", "_filter_cands",
-    )
+    _LAZY_CACHES = ("_scaffolds", "_day_layout", "_draw_layout", "_adhoc_shapes")
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -573,8 +1019,9 @@ class ScopeWorkloadGenerator:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._adhoc_shapes = {}
-        self._filter_cands = {}
+        for name in self._LAZY_CACHES:
+            self.__dict__[name] = None
+        self._scaffolds = {}
 
     # -- construction --------------------------------------------------------
     def _random_table_rng(self, rng: np.random.Generator) -> TableDef:
@@ -719,7 +1166,9 @@ class ScopeWorkloadGenerator:
                 ):
                     still_pending.append(template)
                     continue
-                plan, _ = template.instantiate(day=0, drift=0.0)
+                plan = template.instantiate(
+                    day=0, drift=0.0, scaffold=self._scaffold(template)
+                ).plan
                 rows = int(
                     np.clip(
                         estimator.estimate(plan),
@@ -768,10 +1217,13 @@ class ScopeWorkloadGenerator:
         """
         cfg = self.config
         instances = cfg.instances_per_template
+        prefix = f"d{day:03d}-"
         jobs: list[Job] = []
         template_job_ids: dict[int, list[str]] = {}
         for template in self._templates_by_hour:
-            plan, params = template.instantiate(day, cfg.drift_per_day)
+            plan, params, *_ = template.instantiate(
+                day, cfg.drift_per_day, self._scaffold(template)
+            )
             upstream_ids = (
                 template_job_ids.get(template.upstream_template)
                 if template.upstream_template is not None
@@ -797,18 +1249,23 @@ class ScopeWorkloadGenerator:
                 )
                 ids.append(job_id)
             template_job_ids[template.template_id] = ids
-        producers = [
-            (
-                self.catalog.get(t.output_table),
-                template_job_ids[t.template_id][0],
-                t.submit_hour_offset,
-            )
-            for t in self.templates
-            if t.output_table is not None and t.template_id in template_job_ids
-        ]
-        draws = self._adhoc_day_draws(rng, day, producers, self.adhoc_per_day)
-        for k, drawn in enumerate(draws):
-            jobs.append(self._adhoc_job(day, k, drawn))
+        # Ad-hoc jobs: with probability ``adhoc_dependency_fraction`` one
+        # consumes a pipeline's derived output table (ad-hoc analysis over
+        # production data) and depends on the producer's first job.
+        layout = self._adhoc_layout()
+        draws = self._adhoc_day_draws(rng, day, self.adhoc_per_day)
+        for k, (recipe, hour, producer) in enumerate(zip(
+            draws.recipes(layout), draws.hour.tolist(), draws.producer.tolist()
+        )):
+            jobs.append(Job(
+                job_id=f"{prefix}adhoc{k:03d}",
+                plan=recipe.build(),
+                submit_hour=hour,
+                depends_on=(
+                    (prefix + layout.producer_tails[producer],)
+                    if producer >= 0 else ()
+                ),
+            ))
         jobs.sort(key=_BY_SUBMIT_HOUR)
         return jobs
 
@@ -859,29 +1316,7 @@ class ScopeWorkloadGenerator:
         Recurring templates draw nothing at generation time, so a day's
         RNG consumption is exactly its ad-hoc draws.
         """
-        self._adhoc_day_draws(
-            rng, day, self._day_producers(day), self.adhoc_per_day
-        )
-
-    def _day_producers(self, day: int) -> list[tuple[TableDef, str, float]]:
-        """The (output table, first job id, hour) producer list of a day.
-
-        Identical contents and order to the list ``_generate_day``
-        assembles from its freshly-stamped jobs — every template stamps
-        at least one instance, so membership is simply "has an output
-        table", and the first instance's id is a pure function of
-        ``(day, template_id)``.
-        """
-        prefix = f"d{day:03d}-"
-        return [
-            (
-                self.catalog.get(t.output_table),
-                prefix + self._id_suffix(t.template_id, 0),
-                t.submit_hour_offset,
-            )
-            for t in self.templates
-            if t.output_table is not None
-        ]
+        self._adhoc_day_draws(rng, day, self.adhoc_per_day)
 
     def _id_suffix(self, template_id: int, instance: int) -> str:
         """Day-independent tail of a recurring job id."""
@@ -905,107 +1340,76 @@ class ScopeWorkloadGenerator:
         for day in range(start_day, start_day + n_days):
             yield self.day_jobs(day)
 
-    def _filter_candidates(self, table: TableDef) -> tuple[ColumnStats, ...]:
-        """Non-key columns of ``table`` (the ad-hoc filter candidates)."""
-        cands = self._filter_cands.get(table.name)
-        if cands is None:
-            cands = tuple(c for c in table.columns if c.name != "key")
-            self._filter_cands[table.name] = cands
-        return cands
-
     def _adhoc_day_draws(
-        self,
-        rng: np.random.Generator,
-        day: int,
-        producers: list[tuple[TableDef, str, float]],
-        n: int,
-    ) -> list[tuple[str, str, float, str | None, bool, float, tuple[str, ...]]]:
-        """Every random decision of a day's ``n`` ad-hoc jobs, in draw order.
+        self, rng: np.random.Generator, day: int, n: int
+    ) -> _AdhocDraws:
+        """Every random decision of a day's ``n`` ad-hoc jobs, as columns.
 
         This is the single source of truth for the ad-hoc RNG stream:
         the per-job path (:meth:`_generate_day`), the fused batch path
         (:meth:`day_batch`), and the replay skip (:meth:`_skip_day`) all
         consume ``rng`` through here, so every path advances the
         generator identically — the invariant the bit-identity pins rest
-        on.  Each job's tuple is ``(table, column, value, join_table,
-        aggregate, submit_hour, depends_on)``.
-
-        The draws are ``Generator.random()`` and ``integers(0, m)``
-        calls, replayed from one block of raw PCG64 output by
-        :class:`_RawDraws`: the same values and the same end state as the
-        scalar calls, without their per-call dispatch (seven or so per
-        job, a million jobs a day at scale).  ``uniform(lo, hi)`` draws
-        are written as ``lo + (hi - lo) * random()``, the arithmetic
-        ``Generator.uniform`` performs on the same single draw.
+        on.  The draws are the ``Generator.random()`` and
+        ``integers(0, m)`` calls of :func:`_decode_adhoc`, replayed from
+        blocks of raw PCG64 output: the same values and the same end
+        state as the scalar calls, without their per-call dispatch.
         """
-        base_tables = self._base_tables
-        n_base = len(base_tables)
-        n_producers = len(producers)
-        dependency_fraction = self.config.adhoc_dependency_fraction
-        filter_candidates = self._filter_candidates
+        layout = self._adhoc_layout()
         day_start = day * HOURS_PER_DAY
-        out = []
-        append = out.append
-        # ~6 outputs per job.  A short block costs one more refill; the
-        # cap keeps a million-job day to one 64k-output list at a time.
-        with _RawDraws(rng, block=min(7 * n + 16, 1 << 16)) as draws:
-            random = draws.random
-            integers = draws.integers
-            for _ in range(n):
-                depends: tuple[str, ...] = ()
-                submit_hour = day_start + 24.0 * random()
-                if producers and random() < dependency_fraction:
-                    table, producer_job, producer_hour = producers[
-                        integers(n_producers)
-                    ]
-                    depends = (producer_job,)
-                    # A consumer cannot start before its producer ran.
-                    submit_hour = day_start + min(
-                        23.9, producer_hour + (0.5 + 3.5 * random())
-                    )
-                else:
-                    table = base_tables[integers(n_base)]
-                candidates = filter_candidates(table)
-                if candidates:
-                    column = candidates[integers(len(candidates))]
-                else:
-                    column = table.columns[0]
-                value = column.low + (column.high - column.low) * random()
-                join_table = (
-                    base_tables[integers(n_base)].name
-                    if random() < 0.5
-                    else None
+        if not n:
+            return _decode_adhoc(
+                np.empty(0, dtype=np.uint64), 0, 0, 0, layout, day_start
+            )[0]
+        parts = []
+        with _RawDraws(rng) as raw:
+            # ~6 outputs per job.  A short block costs one more refill;
+            # the cap keeps a million-job day to 64k outputs at a time.
+            words = raw.block(min(7 * n + 16, 1 << 16))
+            while True:
+                part, used, raw.has32, raw.buf32 = _decode_adhoc(
+                    words, raw.has32, raw.buf32, n, layout, day_start
                 )
-                aggregate = random() < 0.5
-                append((
-                    table.name, column.name, value, join_table, aggregate,
-                    submit_hour, depends,
-                ))
-        return out
+                raw.used += used
+                parts.append(part)
+                n -= len(part.hour)
+                if not n:
+                    break
+                words = np.concatenate(
+                    (words[used:], raw.block(min(7 * n + 16, 1 << 16)))
+                )
+        if len(parts) == 1:
+            return parts[0]
+        return _AdhocDraws._make(map(np.concatenate, zip(*parts)))
 
-    def _adhoc_job(
-        self,
-        day: int,
-        index: int,
-        drawn: tuple[str, str, float, str | None, bool, float, tuple[str, ...]],
-    ) -> Job:
-        """A one-off job from its draws (see :meth:`_adhoc_day_draws`).
-
-        With probability ``adhoc_dependency_fraction`` the job consumes a
-        pipeline's derived output table (ad-hoc analysis over production
-        data), giving it an inter-job dependency.
-        """
-        *recipe, submit_hour, depends = drawn
-        return Job(
-            job_id=f"d{day:03d}-adhoc{index:03d}",
-            plan=AdhocRecipe._make(recipe).build(),
-            submit_hour=submit_hour,
-            depends_on=depends,
-        )
+    def _adhoc_layout(self) -> _AdhocLayout:
+        if self._draw_layout is None:
+            producers = [t for t in self.templates if t.output_table is not None]
+            self._draw_layout = _AdhocLayout.build(
+                self._base_tables,
+                [
+                    (
+                        self.catalog.get(t.output_table),
+                        self._id_suffix(t.template_id, 0),
+                        t.submit_hour_offset,
+                    )
+                    for t in producers
+                ],
+                self.config.adhoc_dependency_fraction,
+            )
+        return self._draw_layout
 
     # -- fused batch generation ----------------------------------------------
-    def _recurring_meta(self) -> list[tuple[_Template, list[str] | None]]:
-        """Per template (by-hour order): the template plus dependency tails.
+    def _scaffold(self, template: _Template) -> _RecurringScaffold:
+        scaffold = self._scaffolds.get(template.template_id)
+        if scaffold is None:
+            scaffold = self._scaffolds[template.template_id] = (
+                template.scaffold()
+            )
+        return scaffold
+
+    def _batch_layout(self) -> _DayLayout:
+        """The day-independent rows of a fused day (see :class:`_DayLayout`).
 
         A consumer instance depends on its producer's matching instance
         *iff* the producer was stamped earlier in by-hour order — the
@@ -1013,112 +1417,118 @@ class ScopeWorkloadGenerator:
         (equal-hour ties resolve by template id, so a chain wired
         "backwards" at the 23.0 clamp yields no edge there either).
         """
-        if self._rec_meta is None:
+        if self._day_layout is None:
             instances = self.config.instances_per_template
-            meta: list[tuple[_Template, list[str] | None]] = []
-            stamped: set[int] = set()
-            for template in self._templates_by_hour:
+            by_hour = self._templates_by_hour
+            row_of = {t.template_id: j * instances for j, t in enumerate(by_hour)}
+            dep_src: list[int] = []
+            dep_dst: list[int] = []
+            for template in by_hour:
                 upstream = template.upstream_template
-                tails = (
-                    [self._id_suffix(upstream, k) for k in range(instances)]
-                    if upstream is not None and upstream in stamped
-                    else None
-                )
-                meta.append((template, tails))
-                stamped.add(template.template_id)
-            self._rec_meta = meta
-        return self._rec_meta
-
-    def _recurring_columns(self) -> tuple[np.ndarray, list[str]]:
-        """(submit-hour offsets, id tails), one per recurring instance."""
-        if self._rec_offsets is None or self._rec_id_suffixes is None:
-            instances = self.config.instances_per_template
-            meta = self._recurring_meta()
-            self._rec_offsets = np.repeat(
-                np.asarray(
-                    [t.submit_hour_offset for t, _tails in meta],
-                    dtype=np.float64,
-                ),
-                instances,
-            )
-            self._rec_id_suffixes = [
+                if upstream is not None and row_of[upstream] < row_of[
+                    template.template_id
+                ]:
+                    for k in range(instances):
+                        dep_src.append(row_of[template.template_id] + k)
+                        dep_dst.append(row_of[upstream] + k)
+            tails = [
                 self._id_suffix(t.template_id, k)
-                for t, _tails in meta
+                for t in by_hour
                 for k in range(instances)
-            ]
-        return self._rec_offsets, self._rec_id_suffixes
-
-    def _adhoc_tails(self) -> list[str]:
-        if self._adhoc_id_suffixes is None:
-            self._adhoc_id_suffixes = [
-                f"adhoc{k:03d}" for k in range(self.adhoc_per_day)
-            ]
-        return self._adhoc_id_suffixes
-
-    def _adhoc_shape(
-        self, table: str, column: str, join_table: str | None, aggregate: bool
-    ) -> _AdhocShape:
-        """Cached signature scaffolding for one ad-hoc plan shape."""
-        key = (table, column, join_table, aggregate)
-        shape = self._adhoc_shapes.get(key)
-        if shape is not None:
-            return shape
-        scan_sig = _digest(f"Scan:{table}()")
-        filt_template = _digest(f"Filter:{column}<=?({scan_sig})")
-        if join_table is not None:
-            jscan_sig = _digest(f"Scan:{join_table}()")
-            join_pre = "Join:key=key("
-            join_post = f"|{jscan_sig})"
-            top_template = _digest(
-                f"{join_pre}{filt_template}{join_post}"
+            ] + [f"adhoc{k:03d}" for k in range(self.adhoc_per_day)]
+            adhoc = self._adhoc_layout()
+            scan_sigs = [_digest(f"Scan:{t.name}()") for t in adhoc.tables]
+            columns = [c.name for c in adhoc.columns]
+            col_scans = [scan_sigs[t] for t in adhoc.col_table.tolist()]
+            self._day_layout = _DayLayout(
+                templates=by_hour,
+                scaffolds=[self._scaffold(t) for t in by_hour],
+                rec_offsets=np.repeat(
+                    np.asarray(
+                        [t.submit_hour_offset for t in by_hour],
+                        dtype=np.float64,
+                    ),
+                    instances,
+                ),
+                tails=_TailBlob.of(tails),
+                rec_dep_src=np.asarray(dep_src, dtype=np.int64),
+                rec_dep_dst=np.asarray(dep_dst, dtype=np.int64),
+                producer_rows=np.asarray(
+                    [
+                        row_of[t.template_id]
+                        for t in self.templates
+                        if t.output_table is not None
+                    ],
+                    dtype=np.int64,
+                ),
+                table_scans=np.frombuffer(
+                    bytes.fromhex("".join(scan_sigs)), dtype="<u8"
+                ),
+                scan_sigs=scan_sigs,
+                filt_pres=np.array(
+                    [f"Filter:{c}<=".encode() for c in columns], dtype=object
+                ),
+                filt_posts=np.array(
+                    [f"({sig})".encode() for sig in col_scans], dtype=object
+                ),
+                filt_templates=[
+                    _digest(f"Filter:{c}<=?({sig})")
+                    for c, sig in zip(columns, col_scans)
+                ],
+                join_posts=np.array(
+                    [f"|{sig})".encode() for sig in scan_sigs[:adhoc.n_base]],
+                    dtype=object,
+                ),
+                root_pres=np.array(
+                    [
+                        f"{root}(".encode()
+                        for c in columns
+                        for root in (f"Project:{c},key", f"Aggregate:{c}")
+                    ],
+                    dtype=object,
+                ),
             )
-            root_size = 5
-        else:
-            jscan_sig = join_pre = join_post = None
-            top_template = filt_template
-            root_size = 3
-        root_desc = (
-            f"Aggregate:{column}" if aggregate else f"Project:{column},key"
-        )
-        if len(self._adhoc_shapes) >= self._ADHOC_SHAPE_CAP:
-            # FIFO-evict: shapes are pure functions of the key, so a
-            # re-derived shape is identical — the cap only bounds
-            # resident memory over long runs (the shape space is the
-            # catalog's full table x column x join x aggregate product,
-            # which at 100k-job scale never stops minting new combos).
-            del self._adhoc_shapes[next(iter(self._adhoc_shapes))]
-        shape = _AdhocShape(
-            scan_raw=bytes.fromhex(scan_sig),
-            jscan_raw=(
-                bytes.fromhex(jscan_sig) if jscan_sig is not None else None
-            ),
-            filt_pre=f"Filter:{column}<=".encode(),
-            filt_post=f"({scan_sig})".encode(),
-            join_pre=join_pre.encode() if join_pre is not None else None,
-            join_post=join_post.encode() if join_post is not None else None,
-            root_pre=f"{root_desc}(".encode(),
-            root_size=root_size,
-            root_template=bytes.fromhex(
-                _digest(f"{root_desc}({top_template})")
-            ),
-        )
-        self._adhoc_shapes[key] = shape
-        return shape
+        return self._day_layout
+
+    def _shape_templates(self, codes: np.ndarray) -> np.ndarray:
+        """The raw template digest of each shape code (see
+        :class:`_ShapeTemplates`), hashing shapes not seen before."""
+        adhoc = self._adhoc_layout()
+        if self._adhoc_shapes is None:
+            self._adhoc_shapes = _ShapeTemplates(
+                len(adhoc.columns) * (adhoc.n_base + 1) * 2
+            )
+        cache = self._adhoc_shapes
+        missing = np.unique(codes[~cache.known[codes]])
+        layout = self._batch_layout()
+        for code in missing.tolist():
+            rest, aggregate = divmod(code, 2)
+            c, j = divmod(rest, adhoc.n_base + 1)
+            top = layout.filt_templates[c]
+            if j:
+                top = _digest(f"Join:key=key({top}|{layout.scan_sigs[j - 1]})")
+            column = adhoc.columns[c].name
+            root = f"Aggregate:{column}" if aggregate else f"Project:{column},key"
+            cache.digests[code] = int.from_bytes(
+                bytes.fromhex(_digest(f"{root}({top})")), "little"
+            )
+        cache.known[missing] = True
+        return cache.digests[codes]
 
     def day_batch(self, day: int) -> "JobBatch":
         """One day, fused straight into :class:`JobBatch` columns.
 
         Bit-identical to ``JobBatch.from_jobs(self.day_jobs(day))`` —
         same columns, pools, interning order, and RNG advancement — but
-        no per-job ``Job`` objects, no Python sort, and only 2–3 SHA1
-        calls per unique ad-hoc plan instead of a full signature pass:
-        recurring instances are stamped from one per-template skeleton
-        via columnar repeats, and the day never exists as a
-        million-element list.  Ad-hoc plans stay recipe columns of the
-        plan pool until read (a read builds a plan ``==`` the one
-        ``day_jobs`` stamps), signatures stay raw 8-byte digests, job
-        ids one byte blob, and the signature codes one flat array with
-        per-plan offsets.  Interleaves freely with
+        no per-job ``Job`` objects, no Python sort, and no signature
+        walk: each recurring template's plan is stamped from its
+        scaffold with only its literal nodes re-hashed, its instances
+        repeat it as columns, and each ad-hoc plan costs 2–3 SHA1 calls
+        over its decoded draw columns.  Ad-hoc plans stay recipe
+        columns of the plan pool until read (a read builds a plan ``==``
+        the one ``day_jobs`` stamps), signatures stay raw 8-byte
+        digests, job ids one byte blob, and the signature codes one flat
+        array with per-plan offsets.  Interleaves freely with
         :meth:`day_jobs`/:meth:`stream_days` (shared day-state cache).
         """
         if day < 0:
@@ -1146,108 +1556,111 @@ class ScopeWorkloadGenerator:
             JobBatch,
             ParamPool,
             PlanPool,
-            StrColumn,
         )
 
         cfg = self.config
         instances = cfg.instances_per_template
-        prefix = f"d{day:03d}-"
-        meta = self._recurring_meta()
-        n_templates = len(meta)
+        prefix = f"d{day:03d}-".encode()
+        layout = self._batch_layout()
+        n_templates = len(layout.scaffolds)
         n_rec = n_templates * instances
         n_adhoc = self.adhoc_per_day
 
         # Per-ref pools in draw order (refs 0..T-1 are the recurring
-        # skeletons, T..T+A-1 the ad-hoc plans, kept as recipe columns
-        # and only built if something reads them).  Signatures stay raw
+        # plans, T..T+A-1 the ad-hoc plans, kept as recipe columns and
+        # only built if something reads them).  Signatures stay raw
         # 8-byte digests: template and strict roots one per ref, and the
         # signature names and node sizes in one flat draw-order stream
         # with per-ref lengths; a single vectorized gather permutes them
-        # to plan-code order below instead of juggling 350k small lists.
+        # to plan-code order below.
         ref_plans: list[Expression] = []
+        ref_params: list[dict] = []
         ref_templates: list[bytes] = []
         ref_stricts: list[bytes] = []
-        ref_params: list[dict] = []
-        names_flat: list[bytes] = []
-        sizes_flat: list[int] = []
-        ref_lens: list[int] = []
-        pre_deps: dict[int, tuple[str, ...]] = {}
-        for j, (template, dep_tails) in enumerate(meta):
-            plan, params = template.instantiate(day, cfg.drift_per_day)
-            strict_map, _template_map = enumerate_all_signatures(plan)
-            sigs = signatures(plan)
+        rec_names: list[bytes] = []
+        rec_sizes: list[int] = []
+        rec_lens: list[int] = []
+        drift = cfg.drift_per_day
+        for template, scaffold in zip(layout.templates, layout.scaffolds):
+            plan, params, strict_raw, sig_raws, sig_sizes = (
+                template.instantiate(day, drift, scaffold)
+            )
             ref_plans.append(plan)
-            ref_templates.append(bytes.fromhex(sigs.template))
-            ref_stricts.append(bytes.fromhex(sigs.strict))
-            names_flat.extend(bytes.fromhex(s) for s in strict_map)
-            sizes_flat.extend(node.size for node in strict_map.values())
-            ref_lens.append(len(strict_map))
             ref_params.append(params)
-            if dep_tails is not None:
-                base = j * instances
-                for k, tail in enumerate(dep_tails):
-                    pre_deps[base + k] = (prefix + tail,)
-        rec_offsets, rec_tails = self._recurring_columns()
-        rec_hours = rec_offsets + day * HOURS_PER_DAY
+            ref_templates.append(scaffold.template_raw)
+            ref_stricts.append(strict_raw)
+            rec_names.extend(sig_raws)
+            rec_sizes.extend(sig_sizes)
+            rec_lens.append(len(sig_raws))
 
-        # Ad-hoc refs: one pass over the day's draws (the RNG contract —
-        # see :meth:`_adhoc_day_draws`), everything downstream of each
-        # draw runs on prebound locals.  The signature block mirrors
-        # ``enumerate_all_signatures``'s post-order walk with setdefault
-        # dedup — the joined scan re-reading the filtered base table is
-        # the only duplicate a 4-node ad-hoc shape can produce.
-        producers = self._day_producers(day)
-        adhoc_hours = np.empty(n_adhoc, dtype=np.float64)
-        day_draws = self._adhoc_day_draws(rng, day, producers, n_adhoc)
-        get_shape = self._adhoc_shape
+        # Ad-hoc refs: the day's draws as columns (the RNG contract — see
+        # :meth:`_adhoc_day_draws`), then per job only the 2–3 SHA1 calls
+        # of its literal nodes, over payload pieces its codes gather: the
+        # filter's, the join's (joined jobs only), then the root's.
+        draws = self._adhoc_day_draws(rng, day, n_adhoc)
+        joined = draws.join >= 0
+        join_rows = np.flatnonzero(joined)
+        two_scans = joined & (draws.join != draws.table)
+        col = draws.column
+        literals = (
+            "\n".join(map(repr, draws.value.tolist())).encode().split(b"\n")
+            if n_adhoc else []
+        )
         _sha1 = sha1
         _hex = hexlify
-        templates_append = ref_templates.append
-        stricts_append = ref_stricts.append
-        names_extend = names_flat.extend
-        sizes_extend = sizes_flat.extend
-        lens_append = ref_lens.append
-        for k, drawn in enumerate(day_draws):
-            table, column, value, join_table, aggregate, hour, depends = drawn
-            adhoc_hours[k] = hour
-            if depends:
-                pre_deps[n_rec + k] = depends
-            shape = get_shape(table, column, join_table, aggregate)
-            filt_raw = _sha1(
-                shape.filt_pre + repr(value).encode() + shape.filt_post
-            ).digest()[:8]
-            if shape.jscan_raw is not None:
-                top_raw = _sha1(
-                    shape.join_pre + _hex(filt_raw) + shape.join_post
-                ).digest()[:8]
-                root_raw = _sha1(
-                    shape.root_pre + _hex(top_raw) + b")"
-                ).digest()[:8]
-                if join_table == table:
-                    names_extend((shape.scan_raw, filt_raw, top_raw, root_raw))
-                    sizes_extend((1, 2, 4, shape.root_size))
-                    lens_append(4)
-                else:
-                    names_extend((
-                        shape.scan_raw, filt_raw, shape.jscan_raw,
-                        top_raw, root_raw,
-                    ))
-                    sizes_extend((1, 2, 1, 4, shape.root_size))
-                    lens_append(5)
-            else:
-                root_raw = _sha1(
-                    shape.root_pre + _hex(filt_raw) + b")"
-                ).digest()[:8]
-                names_extend((shape.scan_raw, filt_raw, root_raw))
-                sizes_extend((1, 2, shape.root_size))
-                lens_append(3)
-            templates_append(shape.root_template)
-            stricts_append(root_raw)
+        filts = [
+            _sha1(pre + literal + post).digest()[:8]
+            for pre, literal, post in zip(
+                layout.filt_pres[col].tolist(),
+                literals,
+                layout.filt_posts[col].tolist(),
+            )
+        ]
+        kids = np.array(filts, dtype=object)
+        tops = [
+            _sha1(b"Join:key=key(" + _hex(filt) + post).digest()[:8]
+            for filt, post in zip(
+                kids[join_rows].tolist(),
+                layout.join_posts[draws.join[join_rows]].tolist(),
+            )
+        ]
+        kids[join_rows] = np.array(tops, dtype=object)
+        roots = [
+            _sha1(pre + _hex(kid) + b")").digest()[:8]
+            for pre, kid in zip(
+                layout.root_pres[2 * col + draws.aggregate].tolist(),
+                kids.tolist(),
+            )
+        ]
+        shape_codes = (
+            (col * (self._adhoc_layout().n_base + 1) + draws.join + 1) << 1
+        ) | draws.aggregate
+
+        # The ad-hoc signature stream in ``enumerate_all_signatures``'s
+        # post-order: scan, filter, [joined scan,] [join,] root — a
+        # self-join's second scan repeats the first and is not listed.
+        lens_adhoc = 3 + joined + two_scans
+        ends = np.cumsum(lens_adhoc)
+        starts = ends - lens_adhoc
+        last = ends - 1
+        names_adhoc = np.empty(int(ends[-1]) if n_adhoc else 0, dtype=DIGEST)
+        sizes_adhoc = np.empty(len(names_adhoc), dtype=np.uint16)
+        names_adhoc[starts] = layout.table_scans[draws.table]
+        sizes_adhoc[starts] = 1
+        names_adhoc[starts + 1] = np.frombuffer(b"".join(filts), dtype=DIGEST)
+        sizes_adhoc[starts + 1] = 2
+        names_adhoc[last] = np.frombuffer(b"".join(roots), dtype=DIGEST)
+        sizes_adhoc[last] = np.where(joined, 5, 3)
+        at = last[joined] - 1
+        names_adhoc[at] = np.frombuffer(b"".join(tops), dtype=DIGEST)
+        sizes_adhoc[at] = 4
+        at = np.flatnonzero(two_scans)
+        names_adhoc[starts[at] + 2] = layout.table_scans[draws.join[at]]
+        sizes_adhoc[starts[at] + 2] = 1
 
         # Stable sort by submit hour == the legacy per-day Python sort.
-        hours = (
-            np.concatenate([rec_hours, adhoc_hours]) if n_adhoc else rec_hours
-        )
+        rec_hours = layout.rec_offsets + day * HOURS_PER_DAY
+        hours = np.concatenate([rec_hours, draws.hour]) if n_adhoc else rec_hours
         refs = np.concatenate(
             [
                 np.repeat(np.arange(n_templates, dtype=np.int64), instances),
@@ -1267,49 +1680,55 @@ class ScopeWorkloadGenerator:
         code_of_uniq[appearance] = np.arange(len(uniq), dtype=np.uint32)
         plan_codes = code_of_uniq[inverse].astype(np.uint32, copy=False)
         ref_order_arr = uniq[appearance]
-        ref_order = ref_order_arr.tolist()
-
-        all_tails = rec_tails + self._adhoc_tails()
-        order_list = order.tolist()
-        job_ids = StrColumn.from_strs(
-            [prefix + all_tails[i] for i in order_list]
-        )
-
-        # Pools in plan-code order; signature interning in first-sighting
-        # order across plans — one gather permutes the draw-order name
-        # stream to plan-code order, then ``np.unique`` over the raw
-        # digests plus an appearance-rank remap replaces a million dict
-        # probes with a handful of array ops.  One params entry per plan
-        # (``from_jobs`` keys params on the plan code, so codes and
-        # param codes agree); only the recurring plans have any.
-        recurring = [
-            (code, r) for code, r in enumerate(ref_order) if r < n_templates
-        ]
+        n_plans = len(ref_order_arr)
         code_of_ref = np.empty(n_templates + n_adhoc, dtype=np.int64)
-        code_of_ref[ref_order_arr] = np.arange(len(ref_order))
+        code_of_ref[ref_order_arr] = np.arange(n_plans)
+
+        # Pools in plan-code order.  One params entry per plan
+        # (``from_jobs`` keys params on the plan code, so codes and param
+        # codes agree); only the recurring plans have any.
+        rec_codes = code_of_ref[:n_templates]
+        by_code = np.argsort(rec_codes).tolist()
+        recurring = list(zip(rec_codes[by_code].tolist(), by_code))
+        adhoc_codes = code_of_ref[n_templates:]
+        by_code = np.argsort(adhoc_codes)
+        names, recipes = self._recipe_rows(draws, by_code)
         plans = PlanPool.with_recipes(
-            len(ref_order),
+            n_plans,
             {code: ref_plans[r] for code, r in recurring},
-            code_of_ref[n_templates:],
-            day_draws,
+            adhoc_codes[by_code],
+            names,
+            recipes,
         )
         params = ParamPool(
-            len(ref_order),
+            n_plans,
             {code: dict(ref_params[r]) for code, r in recurring if ref_params[r]},
         )
-        template_digests = np.frombuffer(
-            b"".join(ref_templates), dtype=DIGEST
-        )[ref_order_arr]
+        template_digests = np.concatenate([
+            np.frombuffer(b"".join(ref_templates), dtype=DIGEST),
+            self._shape_templates(shape_codes),
+        ])[ref_order_arr]
         strict_digests = np.frombuffer(
-            b"".join(ref_stricts), dtype=DIGEST
+            b"".join(ref_stricts + roots), dtype=DIGEST
         )[ref_order_arr]
-        lens_draw = np.asarray(ref_lens, dtype=np.int64)
+
+        # Signature interning in first-sighting order across plans — one
+        # gather permutes the draw-order name stream to plan-code order,
+        # then ``np.unique`` over the raw digests plus an appearance-rank
+        # remap replaces a million dict probes with a handful of array
+        # ops.  Raw 8-byte digests are bijective with the 16-hex-char
+        # names, so dedup runs on a uint64 view and the pool stays
+        # digests: names are hexed only when read.
+        lens_draw = np.concatenate(
+            [np.asarray(rec_lens, dtype=np.int64), lens_adhoc]
+        )
         offs_draw = np.concatenate(([0], np.cumsum(lens_draw)))[:-1]
-        # Raw 8-byte digests are bijective with the 16-hex-char names,
-        # so dedup runs on a uint64 view (~6x faster than S16 strings)
-        # and the pool stays digests: names are hexed only when read.
-        flat_draw = np.frombuffer(b"".join(names_flat), dtype=DIGEST)
-        sizes_draw = np.asarray(sizes_flat, dtype=np.uint16)
+        flat_draw = np.concatenate(
+            [np.frombuffer(b"".join(rec_names), dtype=DIGEST), names_adhoc]
+        )
+        sizes_draw = np.concatenate(
+            [np.asarray(rec_sizes, dtype=np.uint16), sizes_adhoc]
+        )
         lens_sorted = lens_draw[ref_order_arr]
         total = int(lens_sorted.sum())
         seg_base = np.repeat(np.cumsum(lens_sorted) - lens_sorted, lens_sorted)
@@ -1329,14 +1748,23 @@ class ScopeWorkloadGenerator:
         sig_offsets = np.zeros(len(lens_sorted) + 1, dtype=np.int64)
         np.cumsum(lens_sorted, out=sig_offsets[1:])
 
-        inv = np.empty(len(order), dtype=np.int64)
-        inv[order] = np.arange(len(order))
-        dep_rows = inv[np.fromiter(pre_deps, np.int64, len(pre_deps))]
-        dep_lists = list(pre_deps.values())
-        by_row = np.argsort(dep_rows, kind="stable").tolist()
+        # Dependencies: each consumer row and the tail of the one job it
+        # depends on (a producer's matching instance, or an ad-hoc
+        # consumer's producer's first job), in row order.
+        row_of = np.empty(len(order), dtype=np.int64)
+        row_of[order] = np.arange(len(order))
+        consumers = np.flatnonzero(draws.producer >= 0)
+        dep_rows = row_of[
+            np.concatenate([layout.rec_dep_src, n_rec + consumers])
+        ]
+        dep_tails = np.concatenate([
+            layout.rec_dep_dst,
+            layout.producer_rows[draws.producer[consumers]],
+        ])
+        by_row = np.argsort(dep_rows, kind="stable")
         return JobBatch(
             day=day,
-            ids=job_ids,
+            ids=layout.tails.column(prefix, order),
             submit_hours=hours[order],
             plan_codes=plan_codes,
             param_codes=plan_codes.copy(),
@@ -1348,7 +1776,50 @@ class ScopeWorkloadGenerator:
             sig_digests=uniq_names[name_rank],
             sig_sizes=sizes_draw[gather[name_first[name_rank]]],
             params=params,
-            deps=DepsCSR.from_lists(
-                dep_rows[by_row], [dep_lists[k] for k in by_row]
+            deps=DepsCSR.from_columns(
+                dep_rows[by_row],
+                np.arange(1, len(by_row) + 1),
+                layout.tails.column(prefix, dep_tails[by_row]),
             ),
         )
+
+    def _recipe_rows(
+        self, draws: _AdhocDraws, by_code: np.ndarray
+    ) -> tuple[list[str], np.ndarray]:
+        """The ad-hoc recipes in plan-code order, as ``PlanPool`` rows.
+
+        Names intern in code order, each recipe's table, column and join
+        table in turn (``dict.fromkeys`` order, first object kept), as
+        :class:`~repro.core.peregrine.repository.PlanPool` interns a list.
+        """
+        from repro.core.peregrine.repository import _RECIPE
+
+        layout = self._adhoc_layout()
+        slots = np.stack(
+            [
+                draws.table[by_code],
+                len(layout.tables) + draws.column[by_code],
+                draws.join[by_code],
+            ],
+            axis=1,
+        ).ravel()
+        named = np.flatnonzero(slots >= 0)
+        values, first, inverse = np.unique(
+            layout.name_values[slots[named]],
+            return_index=True,
+            return_inverse=True,
+        )
+        rank = np.argsort(first, kind="stable")
+        code_of_value = np.empty(len(values), dtype=np.int32)
+        code_of_value[rank] = np.arange(len(values), dtype=np.int32)
+        coded = np.full(len(slots), -1, dtype=np.int32)
+        coded[named] = code_of_value[inverse]
+        coded = coded.reshape(-1, 3)
+        rows = np.zeros(len(by_code), dtype=_RECIPE)
+        rows["table"] = coded[:, 0]
+        rows["column"] = coded[:, 1]
+        rows["join"] = coded[:, 2]
+        rows["value"] = draws.value[by_code]
+        rows["aggregate"] = draws.aggregate[by_code]
+        names = [layout.names[s] for s in slots[named[first[rank]]].tolist()]
+        return names, rows

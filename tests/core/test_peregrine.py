@@ -1,7 +1,11 @@
 """Tests for the Peregrine workload analysis platform."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.peregrine import (
     WorkloadFeedback,
@@ -9,10 +13,12 @@ from repro.core.peregrine import (
     analyze,
     forecast_daily_volume,
 )
-from repro.core.peregrine.analysis import shared_jobs_on_day
+from repro.core.peregrine.analysis import WorkloadStatistics, shared_jobs_on_day
+from repro.core.peregrine.repository import JobBatch, SharingFold
 from repro.core.peregrine.feedback import parameter_vector
 from repro.core.peregrine.forecast import forecast_template_parameter
 from repro.engine import Filter, Predicate, Scan
+from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +87,93 @@ class TestAnalysis:
         stats = analyze(repo)
         counts = [c for _, c in stats.top_shared_signatures]
         assert counts == sorted(counts, reverse=True)
+
+    def test_running_fold_matches_a_fold_from_scratch(self):
+        """Days arrive in two batches, so every other call re-folds a
+        grown last day, and day 2's second half arrives last, reopening
+        an earlier day; every call equals the one-shot definition, and
+        so does a fresh fold after a pickle round trip."""
+        generator = ScopeWorkloadGenerator(
+            rng=4, config=ScopeWorkloadConfig.for_scale(400)
+        )
+        repo = WorkloadRepository()
+        late = []
+        for day in range(6):
+            jobs = generator.day_jobs(day)
+            parts = [jobs[: len(jobs) // 2], jobs[len(jobs) // 2:]]
+            if day == 2:
+                late = parts.pop()
+            for part in parts:
+                repo.ingest_batch(JobBatch.from_jobs(part, day=day))
+                assert analyze(repo) == _statistics_from_scratch(repo)
+        repo.ingest_batch(JobBatch.from_jobs(late, day=2))
+        stats = analyze(repo)
+        assert stats == _statistics_from_scratch(repo)
+        assert analyze(pickle.loads(pickle.dumps(repo))) == stats
+
+
+def _fold_from_scratch(summaries) -> tuple[list, dict, list]:
+    fractions, best = [], {}
+    for _day, n_jobs, n_sharing, shared in summaries:
+        fractions.append(n_sharing / max(n_jobs, 1))
+        for sig, count in shared.items():
+            best[sig] = max(best.get(sig, 0), count)
+    return fractions, best, sorted(best.items(), key=lambda kv: -kv[1])[:10]
+
+
+def _statistics_from_scratch(repo) -> WorkloadStatistics:
+    """``analyze``'s statistics, every pass redone over the whole repo."""
+    templates = repo.template_stats()
+    counts = [count for _days, count in templates.values()]
+    fractions, _best, top = _fold_from_scratch(
+        [repo.day_sharing_summary(day) for day in repo.days()]
+    )
+    return WorkloadStatistics(
+        n_jobs=len(repo),
+        n_templates=len(templates),
+        recurring_job_fraction=sum(
+            count for days, count in templates.values() if days > 1
+        ) / len(repo),
+        shared_subexpression_fraction=float(np.mean(fractions)),
+        dependency_fraction=repo.dependency_involved() / len(repo),
+        jobs_per_template_p50=float(np.median(counts)),
+        top_shared_signatures=top,
+    )
+
+
+#: A day summary from a small signature alphabet, so counts tie often.
+SUMMARY = st.tuples(
+    st.integers(1, 50),
+    st.integers(0, 50),
+    st.dictionaries(st.sampled_from("abcdefghijklmnop"), st.integers(2, 5)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.sampled_from(("append", "grow", "change")), SUMMARY),
+    max_size=12,
+))
+def test_sharing_fold_matches_scratch_fold(steps):
+    """Appended days, a grown last day and a changed earlier day all
+    leave the running fold equal to one folded from scratch, ties in
+    first-sighting order included."""
+    fold = SharingFold()
+    summaries: list[tuple] = []
+    for op, (n_jobs, n_sharing, shared) in steps:
+        if op == "grow" and summaries:
+            day, old_jobs = summaries[-1][:2]
+            summaries[-1] = (day, old_jobs + n_jobs, n_sharing, shared)
+        elif op == "change" and len(summaries) > 1:
+            day, old_jobs = summaries[0][:2]
+            summaries[0] = (day, old_jobs + n_jobs, n_sharing, shared)
+        else:
+            summaries.append((len(summaries), n_jobs, n_sharing, shared))
+        fold.update(list(summaries))
+        fractions, best, top = _fold_from_scratch(summaries)
+        assert fold.fractions == fractions
+        assert list(fold.best.items()) == list(best.items())
+        assert fold.top == top
 
 
 class TestFeedback:

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core.peregrine.repository import JobBatch
+from repro.engine import Expression, Scan
+from repro.engine.signatures import signatures
 from repro.workloads.scope import ScopeWorkloadConfig, ScopeWorkloadGenerator
 
 
@@ -94,6 +96,33 @@ class TestFusedDayBatch:
         assert_batches_identical(clone.day_batch(1), refs[1])
         assert_batches_identical(clone.day_batch(0), refs[0])
 
+    def test_pickle_drops_derived_caches(self):
+        """Checkpoints stay manifest-sized: the per-template scaffolds,
+        the day and draw layouts and the per-shape template digests are
+        rebuilt after unpickling, never carried."""
+        generator = ScopeWorkloadGenerator(
+            rng=5, config=ScopeWorkloadConfig.for_scale(1200)
+        )
+        for day in range(5):
+            generator.day_batch(day)
+        names = ScopeWorkloadGenerator._LAZY_CACHES
+        assert set(names) == {
+            "_scaffolds", "_day_layout", "_draw_layout", "_adhoc_shapes",
+        }
+        assert all(getattr(generator, name) for name in names)
+        blob = pickle.dumps(generator)
+        clone = pickle.loads(blob)
+        assert all(not getattr(clone, name) for name in names)
+        # Warm or cold, a generator pickles to about the same size.
+        cold = pickle.dumps(ScopeWorkloadGenerator(
+            rng=5, config=ScopeWorkloadConfig.for_scale(1200)
+        ))
+        assert len(blob) < len(cold) + 4096
+        ref = ScopeWorkloadGenerator(
+            rng=5, config=ScopeWorkloadConfig.for_scale(1200)
+        )
+        assert_batches_identical(clone.day_batch(5), ref.day_batch(5))
+
     def test_negative_day_rejected(self):
         with pytest.raises(ValueError):
             ScopeWorkloadGenerator(rng=1).day_batch(-1)
@@ -116,3 +145,30 @@ class TestFusedDayBatch:
                 fused_repo.day_sharing_summary(day)
                 == record_repo.day_sharing_summary(day)
             )
+
+
+def _rebuilt(node: Expression) -> Expression:
+    """``node``'s tree built again by the dataclass constructors, with
+    nothing memoized."""
+    if isinstance(node, Scan):
+        return Scan(node.table)
+    return node.with_children(tuple(_rebuilt(c) for c in node.children))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stamped_plans_memoize_what_a_signature_walk_computes(seed):
+    """Every node of every stamped recurring plan carries the signatures
+    and size a fresh walk over a constructor-built copy computes."""
+    generator = ScopeWorkloadGenerator(
+        rng=seed, config=ScopeWorkloadConfig.for_scale(3000)
+    )
+    for template in generator.templates:
+        plan = template.instantiate(
+            seed, generator.config.drift_per_day, template.scaffold()
+        ).plan
+        fresh = _rebuilt(plan)
+        assert plan == fresh
+        for stamped, walked in zip(plan.walk(), fresh.walk(), strict=True):
+            assert stamped.__dict__["_memo_signatures"] == signatures(walked)
+            assert stamped.__dict__["_memo_size"] == walked.size
+

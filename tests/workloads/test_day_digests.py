@@ -6,12 +6,20 @@ see a bug in the draws themselves.  These digests were captured from
 the generator before the ad-hoc draws moved onto raw PCG64 blocks; any
 change to a generated world shows up here as a changed day hash or RNG
 state.
+The pickle digests were captured before recurring plans were stamped
+from per-template scaffolds and the ad-hoc draws were decoded as
+columns.
 
 Per (jobs/day, seed) pair the file holds, for days 0..2:
 
 - a blake2b hash of every ``day_batch`` column, plans hashed by ``repr``
   (pickles of built plans carry memoized signatures, so their bytes
   depend on what was read);
+- a blake2b hash of ``pickle.dumps(day_batch(d), protocol=4)``: the
+  ``repr`` hash above misses what only the bytes show — the ``_memo_*``
+  entries a built plan carries and which strings its nodes share (a
+  strict and template signature that are equal but distinct objects
+  pickle differently from one shared string);
 - a hash of the ``day_jobs`` list (ids, hours, plans by ``repr``, params,
   dependencies);
 - the RNG state at the start of each day and after the last one;
@@ -25,6 +33,7 @@ Regenerate only when a change is meant to alter generated worlds::
 from __future__ import annotations
 
 import json
+import pickle
 import sys
 from hashlib import blake2b
 from pathlib import Path
@@ -80,6 +89,10 @@ def batch_digest(batch) -> str:
     return h.hexdigest()
 
 
+def pickle_digest(batch) -> str:
+    return blake2b(pickle.dumps(batch, protocol=4), digest_size=16).hexdigest()
+
+
 def jobs_digest(jobs) -> str:
     h = blake2b(digest_size=16)
     for job in jobs:
@@ -96,14 +109,17 @@ def jobs_digest(jobs) -> str:
 def capture(jobs_per_day: int, seed: int) -> dict:
     """Every digest of one (jobs/day, seed) world, from fresh generators."""
     gen = _world(jobs_per_day, seed)
-    batches = [batch_digest(gen.day_batch(day)) for day in range(DAYS)]
+    batches = [gen.day_batch(day) for day in range(DAYS)]
+    # Pickled before anything reads a plan (reads build and memoize).
+    pickles = [pickle_digest(batch) for batch in batches]
     states = [gen._day_states[day] for day in range(DAYS + 1)]
     gen = _world(jobs_per_day, seed)
     day_jobs = [jobs_digest(gen.day_jobs(day)) for day in range(DAYS)]
     gen = _world(jobs_per_day, seed)
     workload = gen.generate(DAYS)
     return {
-        "day_batch": batches,
+        "day_batch": [batch_digest(batch) for batch in batches],
+        "day_batch_pickle": pickles,
         "day_jobs": day_jobs,
         "day_states": states,
         "generate": {
@@ -131,6 +147,11 @@ class TestGoldenDays:
             assert batch_digest(gen.day_batch(day)) == want["day_batch"][day]
             assert gen._day_states[day + 1] == want["day_states"][day + 1]
         assert gen._day_states[0] == want["day_states"][0]
+
+    def test_day_batch_pickles(self, golden, jobs_per_day, seed):
+        want = golden["worlds"][_key(jobs_per_day, seed)]["day_batch_pickle"]
+        gen = _world(jobs_per_day, seed)
+        assert [pickle_digest(gen.day_batch(day)) for day in range(DAYS)] == want
 
     def test_random_access_day_order(self, golden, jobs_per_day, seed):
         want = golden["worlds"][_key(jobs_per_day, seed)]
