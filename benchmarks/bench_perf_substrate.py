@@ -848,8 +848,8 @@ def measure_checkpoint_delta(run_days: int, profiler: SectionProfiler) -> dict:
     try:
         for _ in range(run_days):
             plane.run_days(1)
-            # Full @1 first: it reads dirty flags without clearing them,
-            # so the @2 save that follows sees the same day's changes.
+            # The full @1 pickle leaves the @2 store's view of what
+            # changed alone, so the delta that follows covers the day.
             with profiler.section("checkpoint_delta/full_v1"):
                 clock = Stopwatch().start()
                 full_blob = checkpoint_bytes_v1(plane)

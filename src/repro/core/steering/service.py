@@ -212,6 +212,12 @@ class SteeringService(AutonomousService):
         self.max_steps = max_steps
         self._rng = np.random.default_rng(rng)
         self._states: dict[str, _TemplateState] = {}
+        #: template -> the value of :attr:`_touches`, a count that only
+        #: goes up, when its state was last handed out: checkpoints send
+        #: the states stamped since their previous frame (see
+        #: :attr:`~repro.fabric.pipeline.PipelineDriver.keyed_attrs`)
+        self._touches = 0
+        self._touched: dict[str, int] = {}
         self._outcomes: list[SteeringOutcome] = []
         self._costs: dict[tuple[str, RuleConfig], float] = {}
         self.adoptions = 0
@@ -232,11 +238,13 @@ class SteeringService(AutonomousService):
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["_costs"]
+        state.pop("_touched", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._costs = {}
+        self._touched = {}
 
     # -- the AutonomousService API ----------------------------------------------
     def recommend(self, template: str) -> RuleConfig:
@@ -306,6 +314,8 @@ class SteeringService(AutonomousService):
 
     # -- internals -------------------------------------------------------------
     def _state(self, template: str) -> _TemplateState:
+        self._touches += 1
+        self._touched[template] = self._touches
         state = self._states.get(template)
         if state is None:
             state = _TemplateState(config=RuleConfig.all_on())
@@ -347,6 +357,8 @@ class SteeringService(AutonomousService):
         self._bandit.update(arm, context, reward)
         trials = state.trials.setdefault(arm, [])
         trials.append(reward)
+        # Only the newest ``validation_trials`` rewards are ever read.
+        del trials[: -self.validation_trials]
         self._maybe_adopt(state, arm, trials)
         return arm
 
@@ -380,7 +392,9 @@ class SteeringService(AutonomousService):
             else 0.0
         )
         state.post_adoption.append(improvement)
-        recent = state.post_adoption[-self.validation_trials :]
+        # Only the newest ``validation_trials`` improvements are ever read.
+        del state.post_adoption[: -self.validation_trials]
+        recent = state.post_adoption
         if (
             len(recent) >= self.validation_trials
             and float(np.mean(recent)) < self.regression_guard

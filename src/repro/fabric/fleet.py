@@ -77,14 +77,15 @@ class SteeringDriver(PipelineDriver):
 
     name = "steering"
     dirty_aware = True
-    frozen_attrs = ("jobs_by_day",)
+    frozen_attrs = ("jobs_by_day", "service.optimizer", "service.true_cost")
+    append_attrs = ("service._outcomes",)
+    keyed_attrs = (("service._states", "service._touched"),)
 
     def __init__(self, jobs_by_day, optimizer, true_cost, seed: int = 0) -> None:
         from repro.core.steering import SteeringService
 
         self.jobs_by_day = jobs_by_day
         self.service = SteeringService(optimizer, true_cost, rng=seed)
-        self.improvement = 0.0
         self.jobs_seen = 0
 
     def services(self):
@@ -103,8 +104,11 @@ class SteeringDriver(PipelineDriver):
             self.jobs_seen += 1
 
     def validate(self, ctx: TickContext) -> None:
-        report = self.service.report()
-        self.improvement = report.improvement
+        """Nothing to veto: the service validates each trial as it runs.
+
+        The stage stays declared so fabric health and fault injection
+        keep covering it.
+        """
 
     def final_report(self) -> dict:
         report = self.service.report()
@@ -122,7 +126,8 @@ class CloudViewsDriver(PipelineDriver):
 
     name = "cloudviews"
     dirty_aware = True
-    frozen_attrs = ("jobs_by_day",)
+    frozen_attrs = ("jobs_by_day", "truth", "service.catalog", "service.est")
+    append_attrs = ("days",)
 
     def __init__(
         self, catalog, est_cost, truth, jobs_by_day, workers: int = 1
@@ -251,6 +256,7 @@ class MoneyballDriver(PipelineDriver):
     name = "moneyball"
     dirty_aware = True
     frozen_attrs = ("arrivals_by_day",)
+    append_attrs = ("service._traces",)
 
     def __init__(self, arrivals_by_day) -> None:
         from repro.core.moneyball import MoneyballPolicy
@@ -301,6 +307,7 @@ class SeagullDriver(PipelineDriver):
     name = "seagull"
     dirty_aware = True
     frozen_attrs = ("traces",)
+    append_attrs = ("service._choices",)
 
     def __init__(self, traces, first_day: int = SEAGULL_FIRST_DAY) -> None:
         from repro.core.seagull import SeagullService
@@ -371,7 +378,8 @@ class DopplerDriver(PipelineDriver):
 
     name = "doppler"
     dirty_aware = True
-    frozen_attrs = ("historical", "arrivals_by_day")
+    frozen_attrs = ("historical", "arrivals_by_day", "service.skus")
+    append_attrs = ("service._recommendations",)
 
     def __init__(self, historical, arrivals_by_day, seed: int = 0) -> None:
         from repro.core.doppler import SkuRecommender

@@ -85,41 +85,62 @@ class PipelineDriver:
     #: Architectural layer for span/event tagging.
     layer: str = "service"
     #: Set True on subclasses that call :meth:`mark_dirty` at every
-    #: state-mutation point.  The checkpoint store then trusts the flag
+    #: state-mutation point.  The checkpoint store then trusts the mark
     #: when deciding whether a delta frame must re-serialize this
     #: driver; drivers that leave it False get a content-hash fallback
     #: (always correct, costs one serialization per save).
     dirty_aware: bool = False
-    #: Instance attributes that are immutable once the driver is
-    #: registered (input worlds: trace lists, arrival schedules,
-    #: observation streams).  Delta checkpoint frames replace every
-    #: reference *into* these structures with a symbolic token resolved
-    #: against the base frame on load — wherever the object is reachable
-    #: from, including through the wrapped service — so a long-running
+    #: Attribute paths (``"historical"``, ``"service.skus"``) whose
+    #: values are immutable once the driver is registered (input
+    #: worlds: trace lists, arrival schedules, observation streams).
+    #: Delta checkpoint blobs name every object these values reach by
+    #: its index in the blob's prelude, resolved against the service's
+    #: last whole blob on load — wherever the object is referenced from,
+    #: including through the wrapped service — so a long-running
     #: service's delta carries only genuinely mutable state.  Honored
     #: only on ``dirty_aware`` drivers; the values (and their contents)
     #: must never be mutated after registration, or restores silently
     #: revert them to their base-frame state.
     frozen_attrs: tuple[str, ...] = ()
+    #: Attribute paths of lists that only grow (service histories such
+    #: as ``"service._outcomes"``).  A delta checkpoint frame carries
+    #: only the rows appended since the previous frame, and restore
+    #: rebuilds each list as the base frame's copy plus every later
+    #: tail, in order.  Honored only on ``dirty_aware`` drivers.  Rows
+    #: must not change once a frame has carried them; a list that
+    #: shrinks or is replaced makes the next save raise ``ValueError``.
+    append_attrs: tuple[str, ...] = ()
+    #: ``(dict path, stamps path)`` pairs for dicts whose entries are
+    #: never removed and change only under keys the service stamps: the
+    #: stamps dict maps such a key to a positive count that only goes up
+    #: across the service's life, pickles included (e.g.
+    #: ``("service._states", "service._touched")``).  A delta checkpoint
+    #: frame carries only the entries stamped after the newest stamp of
+    #: the store's previous frame of the service; each store keeps its
+    #: own mark and nothing is ever cleared, so stores saving the same
+    #: plane never affect each other.  Honored only on ``dirty_aware``
+    #: drivers.
+    keyed_attrs: tuple[tuple[str, str], ...] = ()
 
     def mark_dirty(self) -> None:
-        """Flag that checkpoint-relevant state changed since the last save."""
-        self._fabric_dirty = True
+        """Record that checkpoint-relevant state changed.
 
-    def clear_dirty(self) -> None:
-        """Reset the dirty flag (the checkpoint store calls this on save)."""
-        self._fabric_dirty = False
+        Each call leaves a fresh :attr:`dirty_token`.
+        """
+        self._fabric_dirty = object()
 
     @property
-    def dirty(self) -> bool:
-        """Whether this driver changed since the last checkpoint save.
+    def dirty_token(self) -> object | None:
+        """The token of the newest :meth:`mark_dirty` (None before one).
 
-        Defaults to True when never saved — unknown means dirty.  The
-        flag itself is transient bookkeeping: the store strips it from
-        serialized driver state, so it never affects checkpoint bytes
-        or content hashes.
+        A checkpoint store re-serializes the driver when the token is
+        not the one it last wrote, so every store keeps its own view of
+        what changed and saving to one never hides a change from
+        another.  The token is transient bookkeeping: the store strips
+        it from serialized driver state, so it never affects checkpoint
+        bytes or content hashes.
         """
-        return self.__dict__.get("_fabric_dirty", True)
+        return self.__dict__.get("_fabric_dirty")
 
     def stages(self) -> list[tuple[str, Callable[[TickContext], object]]]:
         """The declared stages, in canonical pipeline order."""

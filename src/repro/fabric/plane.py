@@ -112,7 +112,12 @@ class FabricHealth:
     """Per-(service, stage) stage-execution counters."""
 
     counters: dict[tuple[str, str], dict[str, int]] = field(default_factory=dict)
-    outcomes: list[StageOutcome] = field(default_factory=list)
+
+    def __setstate__(self, state: dict) -> None:
+        # Checkpoints written before the counters stood alone also
+        # carry every stage outcome ever recorded; nothing reads them.
+        state.pop("outcomes", None)
+        self.__dict__.update(state)
 
     def record(self, outcome: StageOutcome) -> None:
         bucket = self.counters.setdefault(
@@ -121,7 +126,6 @@ class FabricHealth:
         )
         bucket[outcome.status] += 1
         bucket["attempts"] += outcome.attempts
-        self.outcomes.append(outcome)
 
     def total(self, status: str) -> int:
         return sum(bucket[status] for bucket in self.counters.values())

@@ -30,12 +30,18 @@ API.  It writes either of two formats and reads both:
   fallback otherwise.  :meth:`CheckpointStore.compact` collapses the
   chain back into a single base frame.
 
-Cross-frame object identity is preserved with pickle persistent ids:
-driver blobs never embed the shared :class:`~repro.ml.registry.
-ModelRegistry` (or the lifecycle) — they reference it symbolically and
-are re-attached to the restored instance on load, so a feedback loop
-restored from a day-3 delta still mutates the same registry the
-lifecycle owns.
+Each driver blob starts with a **prelude** that names the objects it
+shares with the rest of the chain by index: the core's
+:class:`~repro.ml.registry.ModelRegistry` and lifecycle, and — in a
+delta — the objects of the driver's frozen input worlds and its grown
+histories.  The blob is written by one C pickler whose memo is seeded
+with those objects, so references to them cost a memo get and no
+Python code runs per pickled object; load resolves the indices against
+the restored core and the service's last whole blob, so a feedback
+loop restored from a day-3 delta still mutates the same registry the
+lifecycle owns.  A delta carries only what grew: the rows a declared
+append-only list gained and the entries of a keyed dict stamped since
+the service's previous blob in this store (DESIGN.md §6).
 
 A ``schedule.json`` sidecar (atomic replace) mirrors the latest
 schedule records in human-readable form, so operators can inspect
@@ -49,6 +55,7 @@ import io
 import json
 import pickle
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -65,12 +72,6 @@ FORMAT_V2 = "repro.fabric/checkpoint@2"
 CHAIN_FILENAME = "fabric.ckpt"
 #: Sidecar with the latest schedule records, as JSON.
 SCHEDULE_FILENAME = "schedule.json"
-
-#: Persistent-id tokens for objects shared between driver blobs and the
-#: core frame.  Driver pickles reference these symbolically so every
-#: frame — whichever day it was written — re-attaches to the restored
-#: core instances.
-_SHARED_TOKENS = ("@registry", "@lifecycle")
 
 
 # ---------------------------------------------------------------------------
@@ -171,77 +172,118 @@ class ScheduleRecord:
 # ---------------------------------------------------------------------------
 
 
-class _SharedRefPickler(pickle.Pickler):
-    """Pickle a driver, replacing shared core objects with tokens."""
+@lru_cache(maxsize=None)
+def _prelude(n: int) -> bytes:
+    """A pickle that memoizes shared objects ``0..n-1`` and returns ``n``.
 
-    def __init__(self, buffer: io.BytesIO, shared: dict[int, str]) -> None:
-        super().__init__(buffer, protocol=4)
-        self._shared = shared
+    Entry ``k`` is ``BINPERSID k`` + ``MEMOIZE`` + ``POP``: the reader's
+    ``persistent_load`` resolves token ``k`` and the unpickler files the
+    object at memo index ``k``, which is where the writer's seeded memo
+    says it is.
+    """
 
-    def persistent_id(self, obj: object) -> str | None:  # noqa: D102
-        return self._shared.get(id(obj))
+    def push(k: int) -> bytes:
+        if k < 0x100:
+            return pickle.BININT1 + k.to_bytes(1, "little")
+        if k < 0x10000:
+            return pickle.BININT2 + k.to_bytes(2, "little")
+        return pickle.BININT + k.to_bytes(4, "little")
 
-
-class _SharedRefUnpickler(pickle.Unpickler):
-    """Unpickle a driver, resolving tokens to the restored core objects."""
-
-    def __init__(self, buffer: io.BytesIO, objects: dict[str, object]) -> None:
-        super().__init__(buffer)
-        self._objects = objects
-
-    def persistent_load(self, pid: str) -> object:  # noqa: D102
-        try:
-            return self._objects[pid]
-        except KeyError:
-            raise pickle.UnpicklingError(f"unknown shared ref {pid!r}") from None
+    entry = pickle.BINPERSID + pickle.MEMOIZE + pickle.POP
+    body = b"".join(push(k) + entry for k in range(n))
+    return pickle.PROTO + b"\x04" + body + push(n) + pickle.STOP
 
 
-def _dumps_shared(obj: object, shared: dict[int, str]) -> bytes:
+def _dump_blob(refs: list, *objs: object) -> bytes:
+    """Pickle ``objs`` back to back behind a prelude naming ``refs``.
+
+    The C pickler's memo is seeded with ``refs`` at the prelude's
+    indices, so every reference to one of them pickles as a memo get and
+    no Python code runs per object.  ``refs`` must hold distinct objects.
+    """
     buffer = io.BytesIO()
-    _SharedRefPickler(buffer, shared).dump(obj)
+    buffer.write(_prelude(len(refs)))
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.memo = {id(obj): (k, obj) for k, obj in enumerate(refs)}
+    for obj in objs:
+        pickler.dump(obj)
     return buffer.getvalue()
 
 
-def _loads_shared(data: bytes, objects: dict[str, object]) -> object:
-    return _SharedRefUnpickler(io.BytesIO(data), objects).load()
+def _open_blob(blob: bytes, refs: list, where: str) -> pickle.Unpickler:
+    """An unpickler past ``blob``'s prelude, each token resolved in ``refs``.
+
+    Each further ``load()`` returns the next object :func:`_dump_blob`
+    wrote; only the prelude names tokens, and it resolves them through
+    ``refs.__getitem__`` with no Python frame per entry.  The memo is
+    filled by the prelude, never assigned: the C unpickler's ``memo``
+    setter drops dict entries on CPython 3.11.  ``where`` names the
+    blob in errors.
+    """
+    reader = pickle.Unpickler(io.BytesIO(blob))
+    reader.persistent_load = refs.__getitem__
+    try:
+        count = reader.load()
+    except (IndexError, TypeError) as exc:
+        raise ValueError(
+            f"{where} names a shared object its base frame does not hold"
+            f" ({exc}; the base frame holds {len(refs)})"
+        ) from None
+    if type(count) is not int:
+        raise ValueError(f"{where} has no shared-ref prelude")
+    return reader
 
 
-#: Types never worth a persistent-id token (cheap to re-pickle, and
+#: Types never worth a shared-ref token (cheap to re-pickle, and
 #: interning/caching makes their identity meaningless anyway).
 _ATOMIC = (type(None), bool, int, float, complex, str, bytes)
 
 
-def _frozen_entries(driver: "PipelineDriver") -> list[tuple[str, object]]:
-    """Deterministic ``(token, object)`` pairs for a driver's frozen attrs.
+def _attr_path(obj: object, path: str) -> object:
+    """Follow a dotted attribute path (``"service._outcomes"``)."""
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
 
-    Walks the declared
-    :attr:`~repro.fabric.pipeline.PipelineDriver.frozen_attrs` values,
-    descending only through list/tuple/dict containers and addressing
-    each node by attribute name, index, or key — never by hash or
-    traversal order — so the identical walk over a *pickled copy* of the
-    structure (the base frame's, in another process) yields the same
-    token for the same logical object.  Delta frames tokenize every
-    reference to these objects; load resolves the tokens against the
-    base frame.
+
+def _frozen_refs(shared: list, frozen: tuple) -> list:
+    """``shared`` plus every object the ``frozen`` attr values reach.
+
+    Descends only through list/tuple/dict containers, in their own
+    order, skipping objects already listed, so the identical walk over
+    a *pickled copy* of the values (the head of the service's last
+    whole blob, in another process) lists the same logical objects at
+    the same indices.
     """
-    entries: list[tuple[str, object]] = []
+    refs = list(shared)
+    seen = {id(obj) for obj in refs}
 
-    def walk(path: str, value: object) -> None:
-        if isinstance(value, _ATOMIC):
+    def add(value: object) -> None:
+        if isinstance(value, _ATOMIC) or id(value) in seen:
             return
-        entries.append((path, value))
+        seen.add(id(value))
+        refs.append(value)
         if isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                walk(f"{path}[{i}]", item)
+            for item in value:
+                add(item)
         elif isinstance(value, dict):
-            for key, item in value.items():
-                if key is None or isinstance(key, (str, int, bool, float)):
-                    walk(f"{path}[{key!r}]", item)
+            for item in value.values():
+                add(item)
 
-    for attr in type(driver).frozen_attrs:
-        if attr in driver.__dict__:
-            walk(f"@frozen:{attr}", driver.__dict__[attr])
-    return entries
+    for value in frozen:
+        add(value)
+    return refs
+
+
+def _delta_refs(frozen_refs: list, grown: "Iterable[list | dict]") -> list:
+    """What a delta blob's prelude names: frozen refs, then grown objects."""
+    refs = list(frozen_refs)
+    seen = {id(obj) for obj in refs}
+    for obj in grown:
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            refs.append(obj)
+    return refs
 
 
 def _blob_hash(blob: bytes) -> str:
@@ -287,6 +329,17 @@ class CheckpointStore:
         self._seq = 0
         self._has_base = False
         self._hashes: dict[str, str] = {}
+        #: service -> the frame ``tails`` entry of the service's last
+        #: blob: {append/keyed attr: length, stamps path: newest stamp};
+        #: a service is listed once the live chain holds a blob of it
+        self._marks: dict[str, dict[str, int]] = {}
+        #: service -> {append/keyed attr: the object last written}
+        #: (process-local: unknown after adopting or compacting a chain)
+        self._grown: dict[str, dict[str, list | dict]] = {}
+        #: service -> the driver's dirty token when this store last wrote
+        #: it (process-local: after adopting a chain, the first save
+        #: writes every dirty-aware driver once)
+        self._tokens: dict[str, object | None] = {}
         #: why the existing file cannot be continued (set by _adopt_chain)
         self._unreadable: str | None = None
         if self.path.exists() and self.path.stat().st_size > 0:
@@ -308,7 +361,7 @@ class CheckpointStore:
 
     # -- chain bookkeeping -------------------------------------------------------
     def _adopt_chain(self) -> None:
-        """Continue an existing chain: pick up seq/hashes from its frames."""
+        """Continue an existing chain: pick up seq/hashes/marks from its frames."""
         try:
             frames = self.frames()
         except ValueError as exc:  # a @1 file, a torn chain, garbage
@@ -318,32 +371,15 @@ class CheckpointStore:
             self._seq = frame["seq"] + 1
             if frame["kind"] == "base":
                 self._has_base = True
-                self._hashes = dict(frame["hashes"])
-            else:
-                self._hashes.update(frame["hashes"])
+                self._hashes = {}
+                self._marks = {}
+            self._hashes.update(frame["hashes"])
+            for name in frame["services"]:
+                self._marks.setdefault(name, {}).update(frame["tails"].get(name, {}))
 
     def frames(self) -> list[dict]:
         """Every frame in the @2 chain, oldest first (introspection)."""
-        frames: list[dict] = []
-        with self.path.open("rb") as fh:
-            while True:
-                try:
-                    frame = pickle.load(fh)
-                except EOFError:
-                    break
-                except Exception as exc:
-                    # A torn or corrupt frame: unpickling damaged bytes
-                    # can fail with almost any error type.
-                    raise ValueError(
-                        f"{self.path}: unreadable frame after"
-                        f" {len(frames)} good ones ({exc})"
-                    ) from exc
-                if not isinstance(frame, dict) or frame.get("format") != FORMAT_V2:
-                    raise ValueError(
-                        f"{self.path} is not a {FORMAT_V2} chain"
-                    )
-                frames.append(frame)
-        return frames
+        return _read_frames(self.path)
 
     def schedule(self) -> list[ScheduleRecord]:
         """The latest schedule records, from the JSON sidecar."""
@@ -378,12 +414,13 @@ class CheckpointStore:
 
         Restores the merged plane and writes it back as a single fresh
         base (so frozen attrs stripped from delta frames are re-inflated
-        into full blobs), then atomically replaces the chain file.
+        into full blobs and append-only tails are folded into whole
+        lists), then atomically replaces the chain file.
         """
         frames = self.frames()
         if len(frames) <= 1:
             return 0
-        plane = self._restore_v2()
+        plane = _restore_chain(self.path, frames)
         staging_path = self.path.with_name(self.path.name + ".tmp")
         # A compaction killed mid-write leaves its staging file behind.
         staging_path.unlink(missing_ok=True)
@@ -395,6 +432,10 @@ class CheckpointStore:
         self._seq = staging._seq
         self._has_base = True
         self._hashes = dict(staging._hashes)
+        # The marks carry over; the lists staging wrote are the restored
+        # copy's, not the live plane's.
+        self._marks = staging._marks
+        self._grown = {}
         return len(frames) - 1
 
     def _append_frame(self, plane: "ControlPlane", kind: str) -> SaveResult:
@@ -403,35 +444,59 @@ class CheckpointStore:
         obs = plane._obs
         plane.bind(None)
         try:
-            shared = {
-                id(plane.registry): "@registry",
-                id(plane.lifecycle): "@lifecycle",
-            }
+            shared = [plane.registry, plane.lifecycle]
             core = pickle.dumps(self._core_state(plane), protocol=4)
             services: dict[str, bytes] = {}
             hashes: dict[str, str] = {}
+            tails: dict[str, dict[str, int]] = {}
+            tokens: dict[str, object | None] = {}
+            grown: dict[str, dict[str, list | dict]] = {}
+            stamps: dict[str, dict[str, tuple[str, dict]]] = {}
             clean: list[str] = []
             for binding in plane.bindings:
-                driver = binding.driver
-                if kind != "base" and type(driver).dirty_aware:
-                    if not driver.dirty:
-                        clean.append(binding.name)
+                name, driver = binding.name, binding.driver
+                cls = type(driver)
+                frozen: tuple = ()
+                if cls.dirty_aware:
+                    token = tokens[name] = driver.dirty_token
+                    written = name in self._tokens and self._tokens[name] is token
+                    if kind != "base" and written:
+                        clean.append(name)
                         continue
-                    # Delta blobs tokenize references into the driver's
-                    # frozen input worlds; load resolves them from the
-                    # base frame's copy.
-                    refs = dict(shared)
-                    for token, obj in _frozen_entries(driver):
-                        refs.setdefault(id(obj), token)
-                    blob = _serialize_driver(driver, refs)
+                    frozen = tuple(_attr_path(driver, a) for a in cls.frozen_attrs)
+                    attrs = (*cls.append_attrs, *(a for a, _ in cls.keyed_attrs))
+                    grown[name] = {a: _attr_path(driver, a) for a in attrs}
+                    stamps[name] = {
+                        a: (t, _attr_path(driver, t)) for a, t in cls.keyed_attrs
+                    }
+                    tails[name] = {a: len(obj) for a, obj in grown[name].items()}
+                    marks = self._marks.get(name, {})
+                    for path, stamped in stamps[name].values():
+                        newest = max(stamped.values(), default=0)
+                        tails[name][path] = max(marks.get(path, 0), newest)
+                if cls.dirty_aware and kind != "base" and name in self._marks:
+                    # A delta blob names the frozen objects and the grown
+                    # lists and dicts by prelude index, and carries only
+                    # their new rows and newly stamped entries (head
+                    # ``(None, rows)``).
+                    rows = self._tails(name, grown[name], stamps[name])
+                    refs = _delta_refs(
+                        _frozen_refs(shared, frozen), grown[name].values()
+                    )
+                    blob = _dump_driver(driver, refs, (None, rows))
                 else:
-                    blob = _serialize_driver(driver, shared)
-                    digest = _blob_hash(blob)
-                    if kind != "base" and self._hashes.get(binding.name) == digest:
-                        clean.append(binding.name)
-                        continue
-                    hashes[binding.name] = digest
-                services[binding.name] = blob
+                    # A whole blob pickles the frozen values and the
+                    # grown objects first, so restore reads them without
+                    # unpickling the driver behind them.
+                    blob = _dump_driver(driver, shared, (frozen, grown.get(name, {})))
+                    if not cls.dirty_aware:
+                        digest = _blob_hash(blob)
+                        if kind != "base" and self._hashes.get(name) == digest:
+                            clean.append(name)
+                            continue
+                        hashes[name] = digest
+                services[name] = blob
+            schedule = [b.record.to_dict() for b in plane.bindings]
             frame = {
                 "format": FORMAT_V2,
                 "kind": kind,
@@ -440,7 +505,8 @@ class CheckpointStore:
                 "core": core,
                 "services": services,
                 "hashes": hashes,
-                "schedule": [b.record.to_dict() for b in plane.bindings],
+                "tails": tails,
+                "schedule": schedule,
                 "clean": clean,
             }
             data = pickle.dumps(frame, protocol=4)
@@ -448,12 +514,17 @@ class CheckpointStore:
             mode = "wb" if kind == "base" else "ab"
             with self.path.open(mode) as fh:
                 fh.write(data)
-            self._write_schedule(plane)
+            self._write_schedule(plane, schedule)
             self._seq += 1
             self._has_base = True
+            if kind == "base":
+                self._marks, self._grown = {}, {}
             self._hashes.update(hashes)
-            for binding in plane.bindings:
-                binding.driver.clear_dirty()
+            for name in services:
+                self._marks[name] = tails.get(name, {})
+                self._grown[name] = grown.get(name, {})
+                if name in tokens:
+                    self._tokens[name] = tokens[name]
         finally:
             plane.bind(obs)
         self._emit_saved(plane, kind, len(data), list(services), clean)
@@ -465,10 +536,42 @@ class CheckpointStore:
             clean=sorted(clean),
         )
 
+    def _tails(
+        self,
+        name: str,
+        grown: dict[str, list | dict],
+        stamps: dict[str, tuple[str, dict]],
+    ) -> dict[str, list | dict]:
+        """What each grown object gained since ``name``'s last blob.
+
+        An append-only list yields its new rows; a keyed dict yields
+        the entries stamped after that blob's newest stamp.  The marks
+        are this store's own, so another store saving the same plane
+        changes nothing here.
+        """
+        marks = self._marks[name]
+        rows: dict[str, list | dict] = {}
+        for attr, obj in grown.items():
+            mark = marks.get(attr, 0)
+            written = self._grown.get(name, {}).get(attr, obj)
+            if written is not obj or len(obj) < mark:
+                change = "replaced" if written is not obj else "shrank"
+                raise ValueError(
+                    f"{name}.{attr} may only grow, but it {change}"
+                    f" since the last checkpoint frame"
+                )
+            if attr in stamps:
+                path, stamped = stamps[attr]
+                since = marks.get(path, 0)
+                rows[attr] = {k: obj[k] for k, at in stamped.items() if at > since}
+            else:
+                rows[attr] = obj[mark:]
+        return rows
+
     def _save_v1(self, plane: "ControlPlane") -> SaveResult:
         data = checkpoint_bytes_v1(plane)
         self.path.write_bytes(data)
-        self._write_schedule(plane)
+        self._write_schedule(plane, [b.record.to_dict() for b in plane.bindings])
         self._emit_saved(plane, "full", len(data), [b.name for b in plane.bindings], [])
         return SaveResult(
             kind="full",
@@ -477,15 +580,23 @@ class CheckpointStore:
             saved=sorted(b.name for b in plane.bindings),
         )
 
-    def _write_schedule(self, plane: "ControlPlane") -> None:
-        payload = {
-            "format": FORMAT_V2 if self.version == 2 else FORMAT_V1,
-            "day": plane.day,
-            "now": plane.queue.now,
-            "services": [b.record.to_dict() for b in plane.bindings],
-        }
+    def _write_schedule(self, plane: "ControlPlane", schedule: list[dict]) -> None:
+        """The sidecar: sorted keys, one service record per line.
+
+        Built from compact ``json.dumps`` pieces, which take the C
+        encoder; ``indent`` would force the pure-Python one.
+        """
+        head = json.dumps(
+            {
+                "day": plane.day,
+                "format": FORMAT_V2 if self.version == 2 else FORMAT_V1,
+                "now": plane.queue.now,
+            },
+            sort_keys=True,
+        )
+        rows = ",\n".join(json.dumps(row, sort_keys=True) for row in schedule)
         tmp = self.schedule_path.with_name(self.schedule_path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        tmp.write_text(f'{head[:-1]}, "services": [\n{rows}\n]}}\n')
         tmp.replace(self.schedule_path)
 
     @staticmethod
@@ -545,7 +656,7 @@ class CheckpointStore:
         if fmt == FORMAT_V1:
             plane = restore_v1(first)
         elif fmt == FORMAT_V2:
-            plane = cls(chain)._restore_v2()
+            plane = _restore_chain(chain, _read_frames(chain))
         else:
             raise ValueError(
                 f"not a fabric checkpoint (expected format {FORMAT_V1!r}"
@@ -557,76 +668,114 @@ class CheckpointStore:
                 plane._emit("restore", value=float(plane.day))
         return plane
 
-    def _restore_v2(self) -> "ControlPlane":
-        frames = self.frames()
-        if not frames:
-            raise ValueError(f"{self.path} holds no checkpoint frames")
-        core_bytes, blobs, _, schedule, _, base_blobs = self._merge(frames)
-        core = pickle.loads(core_bytes)
-        plane = _plane_from_core(core)
-        objects = {"@registry": plane.registry, "@lifecycle": plane.lifecycle}
-        records = sorted(
-            (ScheduleRecord.from_dict(entry) for entry in schedule),
-            key=lambda r: r.index,
-        )
-        from repro.fabric.plane import ServiceBinding
 
-        for record in records:
-            if record.name not in blobs:
+def _read_frames(path: Path) -> list[dict]:
+    """Every frame in the @2 chain at ``path``, oldest first."""
+    frames: list[dict] = []
+    with path.open("rb") as fh:
+        while True:
+            try:
+                frame = pickle.load(fh)
+            except EOFError:
+                break
+            except Exception as exc:
+                # A torn or corrupt frame: unpickling damaged bytes
+                # can fail with almost any error type.
                 raise ValueError(
-                    f"checkpoint chain is missing service {record.name!r}"
+                    f"{path}: unreadable frame after"
+                    f" {len(frames)} good ones ({exc})"
+                ) from exc
+            if not isinstance(frame, dict) or frame.get("format") != FORMAT_V2:
+                raise ValueError(
+                    f"{path} is not a {FORMAT_V2} chain"
                 )
-            blob = blobs[record.name]
-            base_blob = base_blobs.get(record.name)
-            if base_blob is not None and blob is not base_blob:
-                # The newest blob came from a delta frame, which may
-                # reference the driver's frozen input worlds by token:
-                # unpickle the base frame's copy and resolve against it.
-                donor = _loads_shared(base_blob, objects)
-                refs = dict(objects)
-                for token, obj in _frozen_entries(donor):
-                    refs[token] = obj
-                driver = _loads_shared(blob, refs)
-            else:
-                driver = _loads_shared(blob, objects)
-            plane.bindings.append(ServiceBinding(driver=driver, record=record))
-        plane.rebuild_schedule()
-        return plane
+            if "tails" not in frame:
+                raise ValueError(
+                    f"{path}: frame {len(frames)} predates the"
+                    " shared-ref prelude layout of driver blobs"
+                )
+            frames.append(frame)
+    return frames
 
-    @staticmethod
-    def _merge(frames: list[dict]):
-        """Fold a chain: newest core/schedule, newest blob per service."""
-        base_at = max(
-            (i for i, f in enumerate(frames) if f["kind"] == "base"), default=None
+
+def _restore_chain(path: Path, frames: list[dict]) -> "ControlPlane":
+    """Rebuild the plane the chain ``frames`` (read from ``path``) describe."""
+    base_at = max(
+        (i for i, f in enumerate(frames) if f["kind"] == "base"), default=None
+    )
+    if base_at is None:
+        raise ValueError(f"{path} holds no checkpoint base frame")
+    live = frames[base_at:]
+    plane = _plane_from_core(pickle.loads(live[-1]["core"]))
+    shared = [plane.registry, plane.lifecycle]
+    records = sorted(
+        (ScheduleRecord.from_dict(entry) for entry in live[-1]["schedule"]),
+        key=lambda r: r.index,
+    )
+    from repro.fabric.plane import ServiceBinding
+
+    for record in records:
+        written = [f for f in live if record.name in f["services"]]
+        if not written:
+            raise ValueError(
+                f"checkpoint chain is missing service {record.name!r}"
+            )
+        driver = _restore_driver(
+            record.name, written, shared, f"{path}: service {record.name!r}"
         )
-        if base_at is None:
-            raise ValueError("checkpoint chain has no base frame")
-        live = frames[base_at:]
-        services: dict[str, bytes] = {}
-        hashes: dict[str, str] = {}
-        for frame in live:
-            services.update(frame["services"])
-            hashes.update(frame["hashes"])
-        last = live[-1]
-        return (
-            last["core"],
-            services,
-            hashes,
-            last["schedule"],
-            last["day"],
-            live[0]["services"],
-        )
+        plane.bindings.append(ServiceBinding(driver=driver, record=record))
+    plane.rebuild_schedule()
+    return plane
 
 
-def _serialize_driver(driver: "PipelineDriver", shared: dict[int, str]) -> bytes:
-    """Pickle one driver with shared refs tokenized and dirty flag stripped."""
-    had_flag = "_fabric_dirty" in driver.__dict__
-    flag = driver.__dict__.pop("_fabric_dirty", None)
+def _restore_driver(
+    name: str, written: list[dict], shared: list, where: str
+) -> "PipelineDriver":
+    """Rebuild one driver from the live chain's frames that hold a blob of it.
+
+    Every blob is a prelude, a head, then the driver.  A whole blob's
+    head is ``(frozen values, {attr: grown object})``; a delta blob's is
+    ``(None, {attr: gain})`` and its prelude names the last whole blob's
+    frozen objects and grown objects by index.  Each frame's gains (a
+    list's new rows, a keyed dict's newly stamped entries) apply in chain
+    order, and only the newest blob's driver is ever unpickled — it
+    picks the grown objects up by reference.
+    """
+    refs, grown = shared, {}
+    for frame in written:
+        reader = _open_blob(frame["services"][name], refs, where)
+        frozen, head = reader.load()
+        if frozen is not None:
+            grown = head
+            refs = _delta_refs(_frozen_refs(shared, frozen), grown.values())
+        elif head.keys() != grown.keys():
+            raise ValueError(f"{where} carries gains of {sorted(head)}, not {sorted(grown)}")
+        else:
+            for attr, gain in head.items():
+                target = grown[attr]
+                if isinstance(target, dict):
+                    target.update(gain)
+                else:
+                    target.extend(gain)
+        lengths = frame["tails"].get(name, {})
+        for attr, obj in grown.items():
+            if len(obj) != lengths.get(attr):
+                raise ValueError(
+                    f"{where} rebuilds {attr} to length {len(obj)} at frame"
+                    f" {frame['seq']}, which recorded {lengths.get(attr)}"
+                )
+    return reader.load()
+
+
+def _dump_driver(driver: "PipelineDriver", refs: list, *before: object) -> bytes:
+    """:func:`_dump_blob` of ``before`` then ``driver``, dirty token stripped."""
+    had_token = "_fabric_dirty" in driver.__dict__
+    token = driver.__dict__.pop("_fabric_dirty", None)
     try:
-        return _dumps_shared(driver, shared)
+        return _dump_blob(refs, *before, driver)
     finally:
-        if had_flag:
-            driver.__dict__["_fabric_dirty"] = flag
+        if had_token:
+            driver.__dict__["_fabric_dirty"] = token
 
 
 def _plane_from_core(core: dict) -> "ControlPlane":
