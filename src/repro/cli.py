@@ -330,13 +330,14 @@ def _cmd_fabric(args: argparse.Namespace, obs: "ObservabilityRuntime") -> int:
             from repro.fabric.chaos import make_kill_hook
 
             plane.tick_hook = make_kill_hook(args.chaos_kill_tick)
-        remaining = args.days - plane.day
-        if remaining <= 0:
+        if args.days < plane.day:
             raise ValueError(
                 f"checkpoint already covers day {plane.day}"
                 f" (target {args.days}); nothing to run"
             )
-        plane.run_days(remaining)
+        # A frame written mid-run records the day its run ends at; the
+        # ticks still due before it run first.
+        plane.run_until(args.days)
     else:
         if args.services:
             include = tuple(args.services.split(","))

@@ -556,7 +556,18 @@ class CloudViews:
                 selected = self._add_containment_candidates(jobs, selected)
         truth = DefaultCostModel(self.catalog, true_cardinality)
         with self._span("cloudviews.baseline", n_jobs=len(jobs)):
-            baseline = sum(truth.cost(plan).total for _, plan in jobs)
+            # A day's jobs share a handful of plans: cost each distinct
+            # one once, then sum in job order (the same floats, in the
+            # same order, as costing every job).
+            strict_costs: dict[str, float] = {}
+            job_costs = []
+            for _, plan in jobs:
+                sig = plan_signatures(plan).strict
+                cost = strict_costs.get(sig)
+                if cost is None:
+                    cost = strict_costs[sig] = truth.cost(plan).total
+                job_costs.append(cost)
+            baseline = sum(job_costs)
 
         # Register view tables (sized by ground truth) in a day catalog.
         day_catalog = self.catalog.clone()
@@ -577,6 +588,9 @@ class CloudViews:
         day_cost = DefaultCostModel(day_catalog, day_truth)
 
         materialized: set[str] = set()
+        # The rewrite is a function of the plan and the views applied to
+        # it, so its cost is kept per (strict signature, view signatures).
+        rewritten_costs: dict[tuple[str, tuple[str, ...]], float] = {}
         reuse_total = 0.0
         n_selected = len(selected)
         # Strict-only selections (the common case) take a batched path:
@@ -604,31 +618,32 @@ class CloudViews:
                     # up empty, so skip it (it is O(views) per job).
                     pending = []
                 # First occurrence: run as-is, pay the write for each view.
-                if strict_only:
-                    views = {
-                        c.signature: c.view_table
-                        for c in by_size
-                        if c.signature in materialized
-                        and c.signature in strict_sigs
-                    }
-                    rewritten = (
-                        _rewrite_with_views(plan, views) if views else plan
+                ready = [
+                    c
+                    for c in by_size
+                    if c.signature in materialized
+                    and (
+                        c.signature in strict_sigs
+                        if c.group is None
+                        else c.group.template in sets.template
                     )
-                else:
-                    ready = [
-                        c
-                        for c in by_size
-                        if c.signature in materialized
-                        and (
-                            c.signature in strict_sigs
-                            if c.group is None
-                            else c.group.template in sets.template
+                ]
+                key = (
+                    plan_signatures(plan).strict,
+                    tuple(c.signature for c in ready),
+                )
+                cost = rewritten_costs.get(key)
+                if cost is None:
+                    if strict_only:
+                        views = {c.signature: c.view_table for c in ready}
+                        rewritten = (
+                            _rewrite_with_views(plan, views) if views else plan
                         )
-                    ]
-                    rewritten = plan
-                    for candidate in ready:
-                        rewritten = self._apply(rewritten, candidate)
-                cost = day_cost.cost(rewritten).total
+                    else:
+                        rewritten = plan
+                        for candidate in ready:
+                            rewritten = self._apply(rewritten, candidate)
+                    cost = rewritten_costs[key] = day_cost.cost(rewritten).total
                 for candidate in pending:
                     cost += WRITE_COST_PER_BYTE * day_cost.output_bytes(
                         candidate.expression

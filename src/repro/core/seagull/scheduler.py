@@ -9,7 +9,7 @@ that day (choosing an equally-quiet window is not an error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -84,14 +84,48 @@ class PreviousWeekPolicy:
 
 @dataclass
 class ForecastWindowPolicy:
-    """ML policy: Holt-Winters over the weekly season."""
+    """ML policy: Holt-Winters over the weekly season.
+
+    Keeps the last fit of each series (keyed by its first season) and
+    extends it when the next history starts with exactly the fitted
+    samples, as a server's growing history does day after day; any other
+    history is fitted afresh.  The fits are a cache: pickles drop them.
+    """
 
     period: int = 7 * HOURS_PER_DAY
+    _fits: dict[bytes, tuple[np.ndarray, HoltWinters]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    #: Bound on kept fits (the least recently used goes first beyond it;
+    #: a refit gives the same forecast, so the cap only bounds memory).
+    _FIT_CAP = 64
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_fits"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._fits = {}
 
     def forecast_day(self, history: np.ndarray) -> np.ndarray:
         if history.size < 2 * self.period:
             return PreviousWeekPolicy().forecast_day(history)
-        model = HoltWinters(period=self.period).fit(history)
+        key = history[: self.period].tobytes()
+        kept = self._fits.pop(key, None)
+        if (
+            kept is not None
+            and kept[0].size <= history.size
+            and np.array_equal(history[: kept[0].size], kept[0])
+        ):
+            model = kept[1].extend(history)
+        else:
+            model = HoltWinters(period=self.period).fit(history)
+        if len(self._fits) >= self._FIT_CAP:
+            del self._fits[next(iter(self._fits))]
+        self._fits[key] = (np.array(history, dtype=float), model)
         return np.maximum(0.0, model.forecast(HOURS_PER_DAY))
 
 

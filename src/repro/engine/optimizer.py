@@ -11,7 +11,8 @@ steering all enter through these two seams plus the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.engine.catalog import Catalog
@@ -21,7 +22,7 @@ from repro.engine.estimator import (
     DefaultCardinalityEstimator,
 )
 from repro.engine.expr import Expression, rewrite_bottom_up
-from repro.engine.rules import ALL_RULES, RuleContext
+from repro.engine.rules import ALL_RULES, RuleContext, plan_shapes
 
 if TYPE_CHECKING:
     from repro.obs.runtime import ObservabilityRuntime
@@ -41,7 +42,8 @@ class RuleConfig:
 
     @classmethod
     def all_on(cls) -> "RuleConfig":
-        return cls(tuple(True for _ in ALL_RULES))
+        """The engine default (one shared instance: configs are immutable)."""
+        return _ALL_ON
 
     @classmethod
     def all_off(cls) -> "RuleConfig":
@@ -67,15 +69,30 @@ class RuleConfig:
         return tuple(i for i, on in enumerate(self.bits) if not on)
 
 
+_ALL_ON = RuleConfig(tuple(True for _ in ALL_RULES))
+
+
 @dataclass
 class OptimizerResult:
-    """Optimized plan plus the estimates the optimizer believed."""
+    """Optimized plan plus the estimates the optimizer believes of it.
+
+    The estimates are computed on first read, under the optimizer's
+    cost and cardinality models as they are then: callers that only
+    run the plan (steering) never pay for them.
+    """
 
     plan: Expression
-    estimated_cost: PlanCost
-    estimated_rows: float
     config: RuleConfig
     passes: int
+    optimizer: "Optimizer" = field(repr=False, compare=False)
+
+    @cached_property
+    def estimated_cost(self) -> PlanCost:
+        return self.optimizer.cost_model.cost(self.plan)
+
+    @cached_property
+    def estimated_rows(self) -> float:
+        return self.optimizer.cardinality.estimate(self.plan)
 
 
 class Optimizer:
@@ -104,7 +121,7 @@ class Optimizer:
     def optimize(
         self, expr: Expression, config: RuleConfig | None = None
     ) -> OptimizerResult:
-        """Apply enabled rules to fixpoint, then cost the final plan."""
+        """Apply enabled rules to fixpoint (estimates are read lazily)."""
         if self._obs is None:
             return self._optimize(expr, config)
         with self._obs.span(
@@ -121,20 +138,24 @@ class Optimizer:
         ctx = RuleContext(self.catalog, self.cardinality)
         active = [rule for rule in ALL_RULES if config.enabled(rule.rule_id)]
         plan = expr
+        # A rule whose shape no node has returns the plan object itself,
+        # so it is skipped; the shapes change only with the plan object.
+        shapes = plan_shapes(plan)
         passes = 0
         for _ in range(self.max_passes):
             passes += 1
             before = plan
             for rule in active:
-                plan = rewrite_bottom_up(
+                if rule.shape not in shapes:
+                    continue
+                rewritten = rewrite_bottom_up(
                     plan, lambda node, r=rule: r.apply(node, ctx)
                 )
+                if rewritten is not plan:
+                    plan = rewritten
+                    shapes = plan_shapes(plan)
             if plan == before:
                 break
         return OptimizerResult(
-            plan=plan,
-            estimated_cost=self.cost_model.cost(plan),
-            estimated_rows=self.cardinality.estimate(plan),
-            config=config,
-            passes=passes,
+            plan=plan, config=config, passes=passes, optimizer=self
         )

@@ -37,11 +37,17 @@ class RuleContext:
 
 @dataclass(frozen=True)
 class Rule:
-    """A switchable rewrite: ``apply`` receives a node with rewritten children."""
+    """A switchable rewrite: ``apply`` receives a node with rewritten children.
+
+    ``shape`` is the ``(node class, child class or None)`` the rule
+    rewrites: ``apply`` returns any node of another shape unchanged, so
+    the optimizer skips the rule for a plan with no node of that shape.
+    """
 
     rule_id: int
     name: str
     apply: Callable[[Expression, RuleContext], Expression]
+    shape: tuple[type, type | None]
     risky: bool = False  # depends on estimates being accurate
 
 
@@ -215,14 +221,39 @@ def _aggregate_below_union(node: Expression, ctx: RuleContext) -> Expression:
 
 #: The engine's full rule catalog, indexed by rule id.
 ALL_RULES: tuple[Rule, ...] = (
-    Rule(0, "FilterMerge", _filter_merge),
-    Rule(1, "DedupePredicates", _dedupe_predicates),
-    Rule(2, "PushFilterBelowJoin", _push_filter_below_join),
-    Rule(3, "PushFilterBelowUnion", _push_filter_below_union),
-    Rule(4, "PushFilterBelowAggregate", _push_filter_below_aggregate),
-    Rule(5, "ProjectMerge", _project_merge),
-    Rule(6, "ProjectionPushdown", _projection_pushdown),
-    Rule(7, "JoinCommute", _join_commute, risky=True),
-    Rule(8, "EarlyAggregation", _early_aggregation, risky=True),
-    Rule(9, "AggregateBelowUnion", _aggregate_below_union, risky=True),
+    Rule(0, "FilterMerge", _filter_merge, (Filter, Filter)),
+    Rule(1, "DedupePredicates", _dedupe_predicates, (Filter, None)),
+    Rule(2, "PushFilterBelowJoin", _push_filter_below_join, (Filter, Join)),
+    Rule(3, "PushFilterBelowUnion", _push_filter_below_union, (Filter, Union)),
+    Rule(
+        4,
+        "PushFilterBelowAggregate",
+        _push_filter_below_aggregate,
+        (Filter, Aggregate),
+    ),
+    Rule(5, "ProjectMerge", _project_merge, (Project, Project)),
+    Rule(6, "ProjectionPushdown", _projection_pushdown, (Project, Join)),
+    Rule(7, "JoinCommute", _join_commute, (Join, None), risky=True),
+    Rule(
+        8, "EarlyAggregation", _early_aggregation, (Aggregate, Join), risky=True
+    ),
+    Rule(
+        9,
+        "AggregateBelowUnion",
+        _aggregate_below_union,
+        (Aggregate, Union),
+        risky=True,
+    ),
 )
+
+
+def plan_shapes(plan: Expression) -> set[tuple[type, type | None]]:
+    """Every ``(node class, None)`` and ``(node class, child class)`` in
+    ``plan``: the shapes a :attr:`Rule.shape` is looked up in."""
+    shapes: set[tuple[type, type | None]] = set()
+    for node in plan.walk():
+        kind = type(node)
+        shapes.add((kind, None))
+        for child in node.children:
+            shapes.add((kind, type(child)))
+    return shapes

@@ -462,13 +462,22 @@ class ControlPlane:
         """Advance the fabric ``n_days`` simulated days."""
         if n_days < 1:
             raise ValueError("n_days must be >= 1")
-        horizon = (self.day + n_days) * DAY
-        with self._span(
-            "fabric.run", from_day=self.day, to_day=self.day + n_days
-        ):
-            self.queue.run(until=horizon - _RUN_MARGIN)
-        self.day += n_days
-        self._emit("run_complete", value=float(n_days))
+        return self.run_until(self.day + n_days)
+
+    def run_until(self, day: int) -> "ControlPlane":
+        """Run every tick due before simulated day ``day`` begins.
+
+        ``self.day`` is set to ``day`` first, so every frame an attached
+        store writes during the run records the day the run ends at.  A
+        plane restored from a frame written mid-run therefore finishes
+        that run with ``run_until(plane.day)``.
+        """
+        if day < self.day:
+            raise ValueError(f"day {day} is before fabric day {self.day}")
+        start, self.day = self.day, day
+        with self._span("fabric.run", from_day=start, to_day=day):
+            self.queue.run(until=day * DAY - _RUN_MARGIN)
+        self._emit("run_complete", value=float(day - start))
         return self
 
     # -- resources -------------------------------------------------------------

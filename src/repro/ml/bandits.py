@@ -110,9 +110,10 @@ class LinUCB:
 
     ``select`` takes a context vector and returns the arm maximizing the
     optimistic linear payoff estimate; ``update`` performs the closed-form
-    ridge update for the chosen arm.  Each arm's ``(inv(A), inv(A) @ b)``
-    is cached until that arm's next update (pickles drop the cache), so
-    a ``select`` inverts only the arms updated since the last one.
+    ridge update for the chosen arm.  The arms' ``A`` and ``b`` are
+    stacked arrays, and so are the cached ``inv(A)`` and ``inv(A) @ b``
+    (``_solved``; pickles drop it): a ``select`` re-inverts only the
+    arms updated since the last one and scores every arm in one call.
     """
 
     def __init__(
@@ -132,19 +133,25 @@ class LinUCB:
         self.n_features = n_features
         self.alpha = alpha
         self._rng = np.random.default_rng(rng)
-        self._a = [np.eye(n_features) for _ in range(n_arms)]
-        self._b = [np.zeros(n_features) for _ in range(n_arms)]
+        self._a = np.tile(np.eye(n_features), (n_arms, 1, 1))
+        self._b = np.zeros((n_arms, n_features))
         self.counts = np.zeros(n_arms, dtype=int)
-        self._solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._solved: dict[str, np.ndarray] = {}
+        self._stale: set[int] = set()
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_solved"]
+        del state["_solved"], state["_stale"]
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Older pickles hold one array per arm.
+        for name in ("_a", "_b"):
+            if isinstance(state[name], list):
+                state[name] = np.stack(state[name])
         self.__dict__.update(state)
         self._solved = {}
+        self._stale = set()
 
     def _check_context(self, context: np.ndarray) -> np.ndarray:
         ctx = np.asarray(context, dtype=float).ravel()
@@ -155,20 +162,29 @@ class LinUCB:
         return ctx
 
     def scores(self, context: np.ndarray) -> np.ndarray:
-        """Optimistic payoff estimate for every arm given ``context``."""
+        """Optimistic payoff estimate for every arm given ``context``.
+
+        The batched matmuls make the same per-arm dot and matrix-vector
+        calls as ``theta @ ctx`` and ``ctx @ inv @ ctx`` on one arm, so
+        every score equals the per-arm formula bit for bit.
+        """
         ctx = self._check_context(context)
-        out = np.zeros(self.n_arms)
         solved = self._solved
-        for arm in range(self.n_arms):
-            cached = solved.get(arm)
-            if cached is None:
-                a_inv = np.linalg.inv(self._a[arm])
-                cached = solved[arm] = (a_inv, a_inv @ self._b[arm])
-            a_inv, theta = cached
-            out[arm] = float(
-                theta @ ctx + self.alpha * math.sqrt(ctx @ a_inv @ ctx)
-            )
-        return out
+        if solved:
+            stale = self._stale
+        else:
+            solved["inv"] = np.empty_like(self._a)
+            solved["theta"] = np.empty((self.n_arms, 1, self.n_features))
+            stale = range(self.n_arms)
+        inv, theta = solved["inv"], solved["theta"]
+        for arm in stale:
+            inv[arm] = np.linalg.inv(self._a[arm])
+            theta[arm, 0] = inv[arm] @ self._b[arm]
+        self._stale = set()
+        column = ctx[:, None]
+        lin = np.matmul(theta, column)[:, 0, 0]
+        quad = np.matmul(np.matmul(ctx[None, None, :], inv), column)[:, 0, 0]
+        return lin + self.alpha * np.sqrt(quad)
 
     def select(self, context: np.ndarray) -> int:
         scores = self.scores(context)
@@ -182,7 +198,7 @@ class LinUCB:
         self._a[arm] += np.outer(ctx, ctx)
         self._b[arm] += reward * ctx
         self.counts[arm] += 1
-        self._solved.pop(arm, None)
+        self._stale.add(arm)
 
     def point_estimate(self, arm: int, context: np.ndarray) -> float:
         """Non-optimistic payoff estimate (no exploration bonus)."""

@@ -113,12 +113,49 @@ class HoltWinters:
         level = float(season1)
         trend = float((season2 - season1) / m)
         seasonal = (arr[:m] - season1).tolist()
+        self._smooth(arr[m:].tolist(), m, level, trend, seasonal)
+        return self
+
+    def extend(self, series: np.ndarray) -> "HoltWinters":
+        """Continue the fit over the samples of ``series`` past the fitted ones.
+
+        ``series`` must start with the series this model was fitted (and
+        extended) on; only its tail is read.  The result equals a fresh
+        :meth:`fit` of ``series`` bit for bit.
+        """
+        if self._level is None:
+            raise NotFittedError("forecaster is not fitted")
+        arr = np.asarray(series, dtype=float).ravel()
+        if arr.size < self._t:
+            raise ValueError(
+                f"series has {arr.size} samples, the fit covers {self._t}"
+            )
+        tail = arr[self._t :]
+        if not np.all(np.isfinite(tail)):
+            raise ValueError("series contains non-finite values")
+        self._smooth(
+            tail.tolist(),
+            self._t,
+            float(self._level),
+            float(self._trend),
+            self._seasonal.tolist(),
+        )
+        return self
+
+    def _smooth(
+        self,
+        values: list[float],
+        start: int,
+        level: float,
+        trend: float,
+        seasonal: list[float],
+    ) -> None:
+        """Run the recursion over ``values`` (sample ``start`` onward)."""
         # The recursion runs on Python floats: the same IEEE operations
         # in the same order as on numpy scalars, without their dispatch.
+        m = self.period
         alpha, beta, gamma = self.alpha, self.beta, self.gamma
-        values = arr.tolist()
-        for t in range(m, arr.size):
-            value = values[t]
+        for t, value in enumerate(values, start):
             idx = t % m
             prev_level = level
             level = alpha * (value - seasonal[idx]) + (1 - alpha) * (
@@ -131,8 +168,7 @@ class HoltWinters:
         self._level = np.float64(level)
         self._trend = np.float64(trend)
         self._seasonal = np.array(seasonal)
-        self._t = arr.size
-        return self
+        self._t = start + len(values)
 
     def forecast(self, horizon: int) -> np.ndarray:
         if self._level is None:

@@ -97,6 +97,19 @@ class TestRunDay:
                 world["truth"].estimate(plan)
             )
 
+    def test_baseline_sums_every_job_cost_in_job_order(
+        self, cloudviews, day_jobs, world
+    ):
+        # Repeated plans are costed once; the sum still runs per job.
+        from repro.engine import DefaultCostModel
+
+        jobs = day_jobs + [(f"{job_id}-again", plan) for job_id, plan in day_jobs]
+        report = cloudviews.run_day(jobs, world["truth"])
+        truth = DefaultCostModel(world["catalog"], world["truth"])
+        assert report.baseline_latency == sum(
+            truth.cost(plan).total for _, plan in jobs
+        )
+
     def test_report_fields_consistent(self, cloudviews, day_jobs, world):
         report = cloudviews.run_day(day_jobs, world["truth"])
         assert report.n_jobs == len(day_jobs)

@@ -1,5 +1,7 @@
 """Tests for Seagull backup scheduling and proactive pool provisioning."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.seagull import (
     BackupScheduler,
     ForecastWindowPolicy,
     PreviousDayPolicy,
+    SeagullService,
     evaluate_policy,
 )
 from repro.core.seagull.scheduler import PreviousWeekPolicy
@@ -78,6 +81,79 @@ class TestPolicies:
     def test_empty_evaluation_rejected(self, servers):
         with pytest.raises(ValueError):
             evaluate_policy([], PreviousDayPolicy(), range(1, 2))
+
+
+class TestForecastWindowPolicyFits:
+    """The policy extends a series' last fit; forecasts equal fresh fits."""
+
+    @staticmethod
+    def _kept_model(policy, history):
+        return policy._fits[history[: policy.period].tobytes()][1]
+
+    def test_kept_fits_equal_fresh_fits_over_evaluated_days(self, servers):
+        # evaluate_policy's day range, then the fleet's trace-day wrap
+        # (41 back to 30), which must refit.
+        days = list(range(29, 42)) + list(range(30, 34))
+        policy = ForecastWindowPolicy()
+        for trace in servers[:4]:
+            previous = None
+            for day in days:
+                history = trace.values[: day * 24]
+                forecast = policy.forecast_day(history)
+                fresh = ForecastWindowPolicy().forecast_day(history)
+                assert np.array_equal(forecast, fresh)
+                model = self._kept_model(policy, history)
+                if previous is not None:
+                    extended = model is previous[1]
+                    assert extended == (previous[0] < day)
+                previous = (day, model)
+        assert evaluate_policy(servers, policy, range(29, 41)) == (
+            evaluate_policy(servers, ForecastWindowPolicy(), range(29, 41))
+        )
+
+    def test_a_shorter_or_different_history_refits(self, servers):
+        values = servers[0].values
+        policy = ForecastWindowPolicy()
+        policy.forecast_day(values[: 40 * 24])
+        kept = self._kept_model(policy, values)
+        shorter = values[: 35 * 24]
+        assert np.array_equal(
+            policy.forecast_day(shorter),
+            ForecastWindowPolicy().forecast_day(shorter),
+        )
+        assert self._kept_model(policy, values) is not kept
+        kept = self._kept_model(policy, values)
+        changed = values[: 41 * 24].copy()
+        changed[30 * 24] += 1.0  # same first season, different past
+        assert np.array_equal(
+            policy.forecast_day(changed),
+            ForecastWindowPolicy().forecast_day(changed),
+        )
+        assert self._kept_model(policy, values) is not kept
+
+    def test_pickles_carry_no_kept_fits(self, servers):
+        policy = ForecastWindowPolicy()
+        for day in (30, 31):
+            policy.forecast_day(servers[0].values[: day * 24])
+        assert policy._fits
+        blob = pickle.dumps(policy)
+        assert blob == pickle.dumps(ForecastWindowPolicy())
+        restored = pickle.loads(blob)
+        assert restored._fits == {}
+        history = servers[0].values[: 32 * 24]
+        assert np.array_equal(
+            restored.forecast_day(history), policy.forecast_day(history)
+        )
+
+        service = SeagullService()
+        for trace in servers[:3]:
+            service.observe(trace)
+            for day in (30, 31, 32):
+                service.recommend(trace.tenant_id, day)
+        assert service.policy._fits
+        blob = pickle.dumps(service)
+        assert b"_fits" not in blob and b"HoltWinters" not in blob
+        assert pickle.loads(blob).policy._fits == {}
 
 
 class TestPoolProvisioning:

@@ -285,7 +285,7 @@ class TestAppendOnlyTails:
         live.checkpoint(tmp_path / "side")
         live.attach_store(store)
         live.run_days(2)
-        store.save(live)  # frames written mid-run hold the run's first day
+        store.save(live)  # one more frame, after the run
         assert [f["kind"] for f in store.frames()].count("base") == 1
         self._same(tmp_path / "store", live)
         live.close()
@@ -467,9 +467,11 @@ def core_fleet_sizes(tmp_path_factory):
     plane.close()
     sizes: dict[str, dict[int, int]] = {"core": {}}
     for frame in store.frames():
-        sizes["core"][frame["day"]] = len(frame["core"])
+        # A frame records the day its run ends at: day d's ticks, d + 1.
+        day = frame["day"] - 1
+        sizes["core"][day] = len(frame["core"])
         for name, blob in frame["services"].items():
-            sizes.setdefault(name, {})[frame["day"]] = len(blob)
+            sizes.setdefault(name, {})[day] = len(blob)
     assert set(sizes) == {"core", *CORE_FLEET}
     return sizes
 
@@ -515,6 +517,66 @@ class TestDeltaSize:
         blob = [len(f["services"]["peregrine"]) for f in store.frames()]
         assert len(blob) == 13
         assert blob[12] <= 1.25 * blob[3]
+
+
+class TestFrameDay:
+    """Frames written inside ``run_days`` record the day the run ends at."""
+
+    FLEET = ("steering", "seagull")
+
+    def _fleet(self) -> ControlPlane:
+        from repro.fabric import FleetConfig, build_fleet
+
+        plane = ControlPlane()
+        build_fleet(
+            plane,
+            FleetConfig(seed=0, days=8, jobs_per_day=600, include=self.FLEET),
+        )
+        return plane
+
+    def test_the_last_frame_of_a_run_restores_the_live_plane(self, tmp_path):
+        live = self._fleet()
+        live.attach_store(CheckpointStore(tmp_path / "store"))
+        live.run_days(3)
+        live.run_days(2)
+        restored = CheckpointStore.load(tmp_path / "store")
+        assert restored.day == live.day == 5
+        assert restored.report_bytes() == live.report_bytes()
+        live.attach_store(None)
+        live.run_days(1)
+        restored.run_days(1)
+        assert restored.report_bytes() == live.report_bytes()
+        live.close()
+        restored.close()
+
+    def test_a_plane_restored_mid_run_finishes_that_run(self, tmp_path):
+        store = tmp_path / "store"
+        kept = tmp_path / "mid-run"
+
+        def keep_chain(plane, binding, ctx):
+            # Steering's day-3 tick, before seagull's, in the run from day 2.
+            if plane.total_ticks == 7:
+                shutil.copytree(store, kept)
+
+        live = self._fleet()
+        live.attach_store(CheckpointStore(store))
+        live.run_days(2)
+        live.tick_hook = keep_chain
+        live.run_days(2)
+        restored = CheckpointStore.load(kept)
+        assert restored.day == 4
+        assert restored.bindings[0].ticks == 4
+        assert restored.bindings[1].ticks == 3
+        restored.run_until(restored.day)
+        assert restored.report_bytes() == live.report_bytes()
+        live.attach_store(None)
+        live.run_days(1)
+        restored.run_days(1)
+        assert restored.report_bytes() == live.report_bytes()
+        with pytest.raises(ValueError, match="before fabric day"):
+            restored.run_until(4)
+        live.close()
+        restored.close()
 
 
 class TestDurableSchedule:

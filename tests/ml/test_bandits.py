@@ -145,6 +145,40 @@ class TestLinUCB:
         ctx = rng.normal(size=3)
         assert np.array_equal(bandit.scores(ctx), uncached(bandit, ctx))
 
+    def test_pickles_with_per_arm_lists_load_and_score_the_same(
+        self, monkeypatch
+    ):
+        def per_arm_state(bandit):
+            """``__getstate__`` as it was when each arm had its own arrays."""
+            state = {
+                k: v
+                for k, v in bandit.__dict__.items()
+                if k not in ("_solved", "_stale")
+            }
+            state["_a"] = [a.copy() for a in bandit._a]
+            state["_b"] = [b.copy() for b in bandit._b]
+            return state
+
+        rng = np.random.default_rng(7)
+        bandit = LinUCB(n_arms=11, n_features=6, alpha=0.8, rng=0)
+        for _ in range(40):
+            ctx = rng.normal(size=6)
+            bandit.update(bandit.select(ctx), ctx, rng.normal())
+        with monkeypatch.context() as patch:
+            patch.setattr(LinUCB, "__getstate__", per_arm_state)
+            blob = pickle.dumps(bandit)
+        old = pickle.loads(blob)
+        assert isinstance(old._a, np.ndarray) and old._a.shape == (11, 6, 6)
+        assert isinstance(old._b, np.ndarray) and old._b.shape == (11, 6)
+        for _ in range(20):
+            ctx = rng.normal(size=6)
+            assert np.array_equal(old.scores(ctx), bandit.scores(ctx))
+            arm = bandit.select(ctx)
+            assert old.select(ctx) == arm
+            bandit.update(arm, ctx, 0.5)
+            old.update(arm, ctx, 0.5)
+        assert pickle.dumps(old) == pickle.dumps(bandit)
+
     def test_invalid_constructor_args(self):
         with pytest.raises(ValueError):
             LinUCB(0, 1)

@@ -178,3 +178,44 @@ class TestPredictability:
         rng = np.random.default_rng(seed)
         series = rng.normal(size=100)
         assert predictability_score(series, period=10) <= 1.0
+
+
+class TestHoltWintersExtend:
+    @given(
+        period=st.integers(2, 30),
+        extra=st.integers(0, 60),
+        chunks=st.lists(st.integers(0, 50), min_size=1, max_size=5),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_extend_equals_a_fresh_fit(self, period, extra, chunks, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * period + extra
+        series = rng.normal(scale=rng.uniform(0.1, 1e4), size=n + sum(chunks))
+        model = HoltWinters(period, 0.3, 0.05, 0.2).fit(series[:n])
+        for size in chunks:
+            n += size
+            assert model.extend(series[:n]) is model
+            fresh = HoltWinters(period, 0.3, 0.05, 0.2).fit(series[:n])
+            assert model._level == fresh._level
+            assert type(model._level) is type(fresh._level)
+            assert model._trend == fresh._trend
+            assert model._t == fresh._t
+            assert np.array_equal(model._seasonal, fresh._seasonal)
+            assert np.array_equal(model.forecast(30), fresh.forecast(30))
+
+    def test_extend_needs_a_fit_covering_no_more_than_the_series(self):
+        series = seasonal_series(n_periods=4, period=24)
+        with pytest.raises(NotFittedError):
+            HoltWinters(period=24).extend(series)
+        model = HoltWinters(period=24).fit(series)
+        with pytest.raises(ValueError, match="covers"):
+            model.extend(series[:-1])
+
+    def test_extend_rejects_a_non_finite_tail_and_keeps_the_fit(self):
+        series = seasonal_series(n_periods=4, period=24)
+        model = HoltWinters(period=24).fit(series)
+        before = model.forecast(24)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.extend(np.append(series, np.nan))
+        assert np.array_equal(model.forecast(24), before)
