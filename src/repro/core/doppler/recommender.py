@@ -26,7 +26,9 @@ from repro.workloads.customers import (
     AZURE_SKUS,
     CustomerProfile,
     Sku,
+    feature_matrix,
     ground_truth_sku,
+    peak_matrix,
 )
 
 if TYPE_CHECKING:
@@ -129,7 +131,7 @@ class SkuRecommender(AutonomousService):
             observed_needs = [c.effective_requirements() for c in customers]
         if len(observed_needs) != len(customers):
             raise ValueError("observed_needs must match customers")
-        features = np.vstack([c.feature_vector() for c in customers])
+        features = feature_matrix(peak_matrix(customers))
         scaled = self._scaler.fit_transform(features)
         self._kmeans = KMeans(n_clusters=self.n_segments, rng=self._rng)
         labels = self._kmeans.fit_predict(scaled)
@@ -169,68 +171,70 @@ class SkuRecommender(AutonomousService):
 
     # -- recommendation --------------------------------------------------------------
     def segment_of(self, customer: CustomerProfile) -> int:
-        if self._kmeans is None:
+        return int(self._segments(peak_matrix([customer]))[0])
+
+    def _segments(self, peaks: np.ndarray) -> np.ndarray:
+        if self._segment_factor is None or self._kmeans is None:
             raise RuntimeError("recommender is not fitted")
-        scaled = self._scaler.transform(
-            customer.feature_vector().reshape(1, -1)
+        return self._kmeans.predict(
+            self._scaler.transform(feature_matrix(peaks))
         )
-        return int(self._kmeans.predict(scaled)[0])
 
     def recommend(self, customer: CustomerProfile) -> Recommendation:
         """Cheapest SKU predicted to cover the right-sized requirements."""
-        if self._segment_factor is None:
-            raise RuntimeError("recommender is not fitted")
-        return self._recommend_in_segment(customer, self.segment_of(customer))
+        return self.recommend_batch([customer])[0]
 
     def recommend_batch(
         self, customers: list[CustomerProfile]
     ) -> list[Recommendation]:
-        """One stacked scaler/k-means call for a whole customer batch.
+        """One stacked model call for a whole customer batch.
 
-        Segment assignment is elementwise per row, so every returned
-        recommendation is bit-identical to what a serial
-        :meth:`recommend` loop would produce — the contract the serve
-        layer's micro-batching dispatcher relies on.
+        Segment assignment, right-sizing and the SKU ranking are all
+        elementwise per row, so every returned recommendation is
+        bit-identical to what recommending each customer alone produces
+        — the contract the serve layer's micro-batching dispatcher
+        relies on.  Every row is ranked before any is recorded.
         """
-        if self._segment_factor is None or self._kmeans is None:
-            raise RuntimeError("recommender is not fitted")
         if not customers:
             return []
-        features = np.vstack([c.feature_vector() for c in customers])
-        segments = self._kmeans.predict(self._scaler.transform(features))
-        return [
-            self._recommend_in_segment(customer, int(segment))
-            for customer, segment in zip(customers, segments)
+        peaks = peak_matrix(customers)
+        segments = self._segments(peaks).tolist()
+        factors = [
+            self._segment_factor.get(segment, self._global_factor)
+            for segment in segments
         ]
-
-    def _recommend_in_segment(
-        self, customer: CustomerProfile, segment: int
-    ) -> Recommendation:
-        factor = self._segment_factor.get(segment, self._global_factor)
-        need_vcores = customer.peak_vcores * factor["vcores"]
-        need_memory = customer.peak_memory_gb * factor["memory"]
-        need_iops = customer.peak_iops * factor["iops"]
+        needs = peaks * np.array(
+            [[f["vcores"], f["memory"], f["iops"]] for f in factors]
+        )
         ranked = sorted(self.skus, key=lambda s: s.price)
-        options = [
-            (sku, sku.covers(need_vcores, need_memory, need_iops))
-            for sku in ranked
-        ]
-        covering = [sku for sku, covers in options if covers]
-        chosen = covering[0] if covering else ranked[-1]
-        recommendation = Recommendation(
-            customer_id=customer.customer_id,
-            sku=chosen,
-            segment=segment,
-            ranked_options=options,
+        capacity = np.array(
+            [[s.vcores, s.memory_gb, s.max_iops] for s in ranked], dtype=float
         )
-        self._recommendations.append(recommendation)
-        self._emit(
-            "recommendation",
-            value=recommendation.price,
-            sku=chosen.name,
-            segment=segment,
+        # covers[i, j]: does the j-th cheapest SKU cover row i's needs?
+        covers = (capacity >= needs[:, None, :]).all(axis=2)
+        # The cheapest covering SKU, else the priciest on the ladder.
+        chosen = np.where(
+            covers.any(axis=1), covers.argmax(axis=1), len(ranked) - 1
         )
-        return recommendation
+        recommendations = []
+        for customer, segment, flags, pick in zip(
+            customers, segments, covers, chosen.tolist()
+        ):
+            recommendation = Recommendation(
+                customer_id=customer.customer_id,
+                sku=ranked[pick],
+                segment=segment,
+                ranked_options=list(zip(ranked, flags)),
+            )
+            self._recommendations.append(recommendation)
+            self._emit(
+                "recommendation",
+                value=recommendation.price,
+                sku=recommendation.sku.name,
+                segment=segment,
+            )
+            recommendations.append(recommendation)
+        return recommendations
 
     # -- the serve contract ----------------------------------------------------
     def serve_many(self, requests) -> list:

@@ -10,6 +10,7 @@ that day (choosing an equally-quiet window is not an error).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -129,6 +130,19 @@ class ForecastWindowPolicy:
         return np.maximum(0.0, model.forecast(HOURS_PER_DAY))
 
 
+@lru_cache(maxsize=HOURS_PER_DAY)
+def _window_hours_index(window_hours: int) -> np.ndarray:
+    """Row ``start`` lists the hours of the window starting at ``start``.
+
+    Each gathered row is contiguous, so its ``sum`` adds the same values
+    in the same order as a sum over the wrapped day's slice.
+    """
+    hours = np.arange(HOURS_PER_DAY)
+    index = (hours[:, None] + hours[None, :window_hours]) % HOURS_PER_DAY
+    index.setflags(write=False)
+    return index
+
+
 class BackupScheduler:
     """Pick the quietest window of tomorrow per server."""
 
@@ -141,13 +155,7 @@ class BackupScheduler:
         """Total load of each candidate window start (wrapping midnight)."""
         if day_values.size != HOURS_PER_DAY:
             raise ValueError("day_values must have exactly 24 entries")
-        wrapped = np.concatenate([day_values, day_values[: self.window_hours]])
-        return np.array(
-            [
-                wrapped[start : start + self.window_hours].sum()
-                for start in range(HOURS_PER_DAY)
-            ]
-        )
+        return day_values[_window_hours_index(self.window_hours)].sum(axis=1)
 
     def choose(
         self,

@@ -189,7 +189,8 @@ class LinUCB:
     def select(self, context: np.ndarray) -> int:
         scores = self.scores(context)
         best = np.flatnonzero(scores == scores.max())
-        return int(self._rng.choice(best))
+        # Draws exactly what ``Generator.choice(best)`` draws, for less.
+        return int(best[self._rng.integers(0, best.size)])
 
     def update(self, arm: int, context: np.ndarray, reward: float) -> None:
         if not 0 <= arm < self.n_arms:

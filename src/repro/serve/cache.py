@@ -3,9 +3,11 @@
 The cache key reuses the engine's plan-signature machinery: an
 :class:`~repro.engine.expr.Expression` subject is keyed by its *strict*
 signature (two structurally identical plans share an entry; any
-structural difference misses), strings and ints key as themselves, and
-anything else by a content digest of its canonical pickle.  The full
-entry key is::
+structural difference misses), strings and ints key as themselves, a
+dataclass whose fields are all plain scalars (a
+:class:`~repro.workloads.customers.CustomerProfile`) by its type and
+field values, and anything else by a content digest of its canonical
+pickle.  The full entry key is::
 
     (tenant, endpoint, op, subject_key, model_version, epoch)
 
@@ -25,10 +27,16 @@ lifecycle) oblivious to the serving tier.
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
 import hashlib
 import pickle
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
+
+from repro.engine import Expression, signatures
 
 if TYPE_CHECKING:
     from repro.core.service import ServeResponse
@@ -38,15 +46,69 @@ if TYPE_CHECKING:
 _EVICTING_ACTIONS = frozenset({"promote", "rollback"})
 
 
-def subject_key(subject: Any) -> str:
+#: Field value types a dataclass subject may key by value: each pickles
+#: as a pure function of its type and bits.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None), np.float64})
+#: class -> its dataclass field names, or None when its instances do not
+#: pickle as a plain field dict (not a dataclass, slots, reduce hooks).
+_FIELD_NAMES: dict[type, "tuple[str, ...] | None"] = {}
+
+
+def _plain_field_names(cls: type) -> "tuple[str, ...] | None":
+    if (
+        not dataclasses.is_dataclass(cls)
+        or cls in copyreg.dispatch_table
+        or cls.__reduce_ex__ is not object.__reduce_ex__
+        or cls.__reduce__ is not object.__reduce__
+        or getattr(cls, "__getstate__", None)
+        is not getattr(object, "__getstate__", None)
+        or hasattr(cls, "__getnewargs_ex__")
+        or hasattr(cls, "__getnewargs__")
+        or any("__slots__" in vars(base) for base in cls.__mro__)
+    ):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _scalar_fields_key(subject: Any) -> "tuple | None":
+    """Class, field types and field values of a dataclass of scalars.
+
+    Keys are equal only when the canonical pickles are: the key holds
+    the class (a subclass differs), each value's type (``1``, ``1.0``,
+    ``True`` and ``numpy.float64(1.0)`` differ) and, since ``-0.0 ==
+    0.0``, a zero's sign.  A NaN equals only itself, so a NaN subject
+    hits only when it carries the very same NaN object.  Returns None
+    for any other subject.
+    """
+    cls = type(subject)
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = _plain_field_names(cls)
+    state = getattr(subject, "__dict__", None)
+    if names is None or state is None or tuple(state) != names:
+        return None
+    values = tuple(state.values())
+    kinds = tuple(map(type, values))
+    if not _SCALAR_TYPES.issuperset(kinds):
+        return None
+    if 0.0 in values:
+        values = tuple(
+            value.hex() if (kind is float or kind is np.float64) and not value
+            else value
+            for kind, value in zip(kinds, values)
+        )
+    return (cls, kinds, values)
+
+
+def subject_key(subject: Any) -> "str | tuple":
     """A stable cache key component for one request subject.
 
     Expressions key by strict plan signature (the whole point of the
     signature machinery: structural identity, not object identity);
-    primitives by value; everything else by canonical-pickle digest.
+    primitives and dataclasses of scalars by value; everything else by
+    canonical-pickle digest.
     """
-    from repro.engine import Expression, signatures
-
     if subject is None:
         return "none"
     if isinstance(subject, Expression):
@@ -55,6 +117,9 @@ def subject_key(subject: Any) -> str:
         return f"str:{subject}"
     if isinstance(subject, (int, bool)):
         return f"int:{subject}"
+    key = _scalar_fields_key(subject)
+    if key is not None:
+        return key
     blob = pickle.dumps(subject, protocol=4)
     return f"blob:{hashlib.blake2b(blob, digest_size=16).hexdigest()}"
 

@@ -36,6 +36,7 @@ visible immediately.
 from __future__ import annotations
 
 import asyncio
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from repro.core.service import ServeRequest, ServeResponse
@@ -101,6 +102,9 @@ class QueryPlane:
         self.ticked_days = 0
         self._inflight = 0
         self._clock_origin: float | None = None
+        #: endpoint -> binding; the fabric only appends uniquely named
+        #: bindings, so a binding once found stays the endpoint's.
+        self._bindings: "dict[str, ServiceBinding]" = {}
         if obs is not None:
             for raw, metric in SERVE_ALIASES.items():
                 obs.store.aliases.add_alias(raw, metric)
@@ -128,8 +132,12 @@ class QueryPlane:
         return self.fabric.service_names()
 
     def binding(self, endpoint: str) -> "ServiceBinding":
+        binding = self._bindings.get(endpoint)
+        if binding is not None:
+            return binding
         for candidate in self.fabric.bindings:
             if candidate.name == endpoint:
+                self._bindings[endpoint] = candidate
                 return candidate
         raise KeyError(f"no endpoint {endpoint!r}")
 
@@ -172,13 +180,14 @@ class QueryPlane:
             return self._finish(endpoint, request, session, response, now)
         cache_key = None
         if request.op in self.cacheable_ops:
+            model = self.model_for(endpoint)
             cache_key = self.cache.key(
                 session.tenant,
                 endpoint,
                 request.op,
                 request.subject,
                 params=request.params,
-                model_version=self.cache.model_version(self.model_for(endpoint)),
+                model_version=self.cache.model_version(model),
                 epoch=binding.record.ticks,
             )
             cached = self.cache.get(cache_key)
@@ -202,9 +211,7 @@ class QueryPlane:
         if response.ok:
             session.ok += 1
             if cache_key is not None:
-                self.cache.put(
-                    cache_key, response, model=self.model_for(endpoint)
-                )
+                self.cache.put(cache_key, response, model=model)
         else:
             session.errors += 1
         return self._finish(endpoint, request, session, response, now)
@@ -221,8 +228,6 @@ class QueryPlane:
 
     def _span(self, endpoint: str, request: ServeRequest):
         if self.obs is None:
-            from contextlib import nullcontext
-
             return nullcontext()
         return self.obs.span(
             f"serve.{endpoint}.{request.op}",
@@ -291,8 +296,6 @@ class QueryPlane:
 
     def _tick_span(self):
         if self.obs is None:
-            from contextlib import nullcontext
-
             return nullcontext()
         return self.obs.span(
             "serve.background_tick", layer="serve", day=self.fabric.day

@@ -12,6 +12,7 @@ capacities cover the customer's effective requirements).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,21 +68,26 @@ class CustomerProfile:
             self.peak_iops * factor,
         )
 
-    def feature_vector(self) -> np.ndarray:
-        """Observable features: log-scaled resource peaks.
 
-        The on-prem over-provisioning headroom is deliberately *not*
-        observable — estimating the true right-sizing factor from
-        comparable customers is exactly the problem Doppler's segment
-        knowledge solves.
-        """
-        return np.array(
-            [
-                np.log1p(self.peak_vcores),
-                np.log1p(self.peak_memory_gb),
-                np.log1p(self.peak_iops),
-            ]
-        )
+def peak_matrix(customers: Sequence[CustomerProfile]) -> np.ndarray:
+    """The customers' (vcores, memory, iops) peaks, one float row each."""
+    peaks = np.array(
+        [[c.peak_vcores, c.peak_memory_gb, c.peak_iops] for c in customers]
+    )
+    if peaks.dtype.kind not in "biuf":
+        raise TypeError(f"customer peaks must be numbers, not {peaks.dtype}")
+    return peaks.astype(float, copy=False)
+
+
+def feature_matrix(peaks: np.ndarray) -> np.ndarray:
+    """Observable features of :func:`peak_matrix` rows: log-scaled peaks.
+
+    The on-prem over-provisioning headroom is deliberately *not*
+    observable — estimating the true right-sizing factor from
+    comparable customers is exactly the problem Doppler's segment
+    knowledge solves.
+    """
+    return np.log1p(peaks)
 
 
 #: Latent segments: (vcore scale, memory-per-core, iops scale, headroom).

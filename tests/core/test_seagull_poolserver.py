@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.poolserver import ForecastPoolPolicy, compare_policies
 from repro.core.seagull import (
@@ -38,6 +40,22 @@ class TestBackupScheduler:
         assert loads[22] == 5.0  # hours 22,23,0
         assert loads[23] == 5.0  # hours 23,0,1
         assert loads[0] == 0.0
+
+    @given(
+        window_hours=st.integers(1, 24),
+        day=st.lists(
+            st.floats(-1e12, 1e12), min_size=24, max_size=24
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_loads_equal_per_slice_sums(self, window_hours, day):
+        day = np.array(day)
+        wrapped = np.concatenate([day, day[:window_hours]])
+        per_slice = np.array(
+            [wrapped[start : start + window_hours].sum() for start in range(24)]
+        )
+        loads = BackupScheduler(window_hours).window_loads(day)
+        assert loads.tobytes() == per_slice.tobytes()
 
     def test_choice_fields_consistent(self, servers):
         scheduler = BackupScheduler()

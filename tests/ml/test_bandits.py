@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml import (
     EpsilonGreedyBandit,
@@ -98,6 +100,17 @@ class TestLinUCB:
         neg = np.array([-1.0, 0.0])
         assert bandit.point_estimate(0, pos) > bandit.point_estimate(1, pos)
         assert bandit.point_estimate(1, neg) > bandit.point_estimate(0, neg)
+
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_tie_break_draws_what_generator_choice_draws(self, seed, ties):
+        bandit = LinUCB(n_arms=ties, n_features=2, rng=seed)
+        twin = np.random.default_rng(seed)
+        for _ in range(3):
+            # No updates: every arm scores the same, so all tie.
+            arm = bandit.select(np.array([1.0, 0.5]))
+            assert arm == int(twin.choice(np.arange(ties)))
+        assert bandit._rng.bit_generator.state == twin.bit_generator.state
 
     def test_scores_shape(self):
         bandit = LinUCB(3, 4, rng=0)

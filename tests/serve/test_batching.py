@@ -4,6 +4,7 @@ import asyncio
 import pickle
 
 from repro.core.doppler import SkuRecommender
+from repro.core.doppler.recommender import Recommendation
 from repro.core.service import ServeRequest
 from repro.fabric.pipeline import PipelineDriver
 from repro.serve.batching import MicroBatcher
@@ -12,6 +13,26 @@ from repro.workloads import generate_customers
 
 def _fitted(seed: int = 0) -> SkuRecommender:
     return SkuRecommender(rng=seed).observe(generate_customers(40, rng=0))
+
+
+def _ranked_one_by_one(recommender, customer) -> Recommendation:
+    """The price-ladder ranking spelled out per SKU with ``Sku.covers``."""
+    segment = recommender.segment_of(customer)
+    factor = recommender._segment_factor[segment]
+    needs = (
+        customer.peak_vcores * factor["vcores"],
+        customer.peak_memory_gb * factor["memory"],
+        customer.peak_iops * factor["iops"],
+    )
+    ranked = sorted(recommender.skus, key=lambda s: s.price)
+    options = [(sku, sku.covers(*needs)) for sku in ranked]
+    covering = [sku for sku, covers in options if covers]
+    return Recommendation(
+        customer_id=customer.customer_id,
+        sku=covering[0] if covering else ranked[-1],
+        segment=segment,
+        ranked_options=options,
+    )
 
 
 class TestBatchedBitIdentity:
@@ -37,6 +58,25 @@ class TestBatchedBitIdentity:
         )
         assert [r.sku.name for r in batched] == [r.sku.name for r in serial]
         assert [r.segment for r in batched] == [r.segment for r in serial]
+
+    def test_every_benchmark_customer_ranks_as_the_per_sku_formula(self):
+        # The 8,192 customers a serve_miss episode cycles through, fed
+        # in micro-batches of 16 and one by one.
+        customers = generate_customers(8192, rng=1)
+        recommender = SkuRecommender(rng=1).observe(
+            generate_customers(96, rng=1)
+        )
+        expected = pickle.dumps(
+            [_ranked_one_by_one(recommender, c) for c in customers]
+        )
+        batched = [
+            row
+            for start in range(0, len(customers), 16)
+            for row in recommender.recommend_batch(customers[start : start + 16])
+        ]
+        assert pickle.dumps(batched) == expected
+        serial = [recommender.recommend(c) for c in customers]
+        assert pickle.dumps(serial) == expected
 
     def test_mixed_op_batch_falls_back_to_serial(self):
         service = _fitted()

@@ -1,9 +1,14 @@
 """Signature-keyed caching: identity, epochs, lifecycle eviction."""
 
 import copy
+import dataclasses
+import math
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.service import ServeRequest, ServeResponse
 from repro.fabric.lifecycle import ModelLifecycle
@@ -12,6 +17,76 @@ from repro.serve.cache import RecommendationCache, subject_key
 
 def _ok(result) -> ServeResponse:
     return ServeResponse(status=200, result=result)
+
+
+@dataclasses.dataclass
+class Scalars:
+    label: object
+    count: object
+    level: object
+
+
+class ScalarsChild(Scalars):
+    pass
+
+
+@dataclasses.dataclass
+class Reduced:
+    level: float
+
+    def __reduce__(self):
+        return (Reduced, (self.level,))
+
+
+@dataclasses.dataclass(slots=True)
+class Slotted:
+    level: float
+
+
+def _canonical(subject) -> bytes:
+    return pickle.dumps(subject, protocol=4)
+
+
+def _fresh(value):
+    """An equal copy that shares no object with ``value``.
+
+    Pickle's memo writes a second reference to one object differently
+    from an equal copy, so the contract is stated over subjects whose
+    fields share nothing (short strings are interned either way).
+    """
+    if type(value) is str:
+        return "".join(list(value))
+    if type(value) is np.float64:
+        return np.float64(float(value))
+    return value
+
+
+#: Values that compare (or hash) equal across types or signs.
+_TWINS = [0, 0.0, -0.0, False, 1, 1.0, True, None, "", "1"]
+_scalars = st.one_of(
+    st.sampled_from(_TWINS),
+    st.sampled_from(_TWINS).filter(lambda v: type(v) is float).map(np.float64),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.floats(allow_nan=True).map(np.float64),
+    st.text(max_size=3),
+    st.booleans(),
+)
+_subjects = st.tuples(
+    st.sampled_from([Scalars, ScalarsChild]),
+    st.lists(_scalars, min_size=3, max_size=3),
+)
+
+
+def _build(spec):
+    cls, values = spec
+    return cls(*(_fresh(v) for v in values))
+
+
+def _has_nan(subject) -> bool:
+    return any(
+        isinstance(v, float) and math.isnan(v) for v in vars(subject).values()
+    )
 
 
 class TestSubjectKey:
@@ -39,6 +114,71 @@ class TestSubjectKey:
         assert a.startswith("blob:")
         assert a == subject_key({"peak": 4.0})
         assert a != subject_key({"peak": 5.0})
+
+
+class TestScalarDataclassKey:
+    """Dataclasses of scalars key by value, exactly as the digest would."""
+
+    @given(a=_subjects, b=_subjects)
+    @settings(max_examples=400, deadline=None)
+    def test_keys_equal_exactly_when_canonical_pickles_are(self, a, b):
+        a, b = _build(a), _build(b)
+        if _canonical(a) != _canonical(b):
+            assert subject_key(a) != subject_key(b)
+        elif not _has_nan(a):
+            assert subject_key(a) == subject_key(b)
+
+    @given(spec=_subjects)
+    @settings(max_examples=100, deadline=None)
+    def test_an_equal_copy_shares_the_key(self, spec):
+        subject = _build(spec)
+        twin = _build(spec)
+        if not _has_nan(subject):
+            assert subject_key(subject) == subject_key(twin)
+        # The same object always hits, NaN or not.
+        assert subject_key(subject) == subject_key(subject)
+
+    def test_twins_that_compare_equal_key_apart(self):
+        values = [
+            0, 0.0, -0.0, False, np.float64(0.0), np.float64(-0.0),
+            1, 1.0, True, np.float64(1.0),
+        ]
+        keys = {subject_key(Scalars("c", v, 2.0)) for v in values}
+        assert len(keys) == len(values)
+        assert subject_key(Scalars("c", 1, 2.0)) != subject_key(
+            ScalarsChild("c", 1, 2.0)
+        )
+
+    def test_customer_profiles_key_by_value(self):
+        from repro.workloads import generate_customers
+
+        customer = generate_customers(1, rng=0)[0]
+        key = subject_key(customer)
+        assert isinstance(key, tuple)
+        assert key == subject_key(copy.deepcopy(customer))
+        zero = dataclasses.replace(customer, peak_vcores=np.float64(0.0))
+        negative_zero = dataclasses.replace(
+            customer, peak_vcores=np.float64(-0.0)
+        )
+        assert subject_key(zero) != subject_key(negative_zero)
+
+    @pytest.mark.parametrize(
+        "subject",
+        [
+            Scalars("c", [1], 2.0),  # a field that is not a scalar
+            Scalars("c", np.int64(1), 2.0),  # a numpy scalar other than float64
+            Reduced(1.0),  # its own reduce hook
+            Slotted(1.0),  # no instance dict
+        ],
+    )
+    def test_other_dataclasses_key_by_digest(self, subject):
+        assert subject_key(subject).startswith("blob:")
+
+    def test_an_attribute_outside_the_fields_keys_by_digest(self):
+        subject = Scalars("c", 1, 2.0)
+        subject.extra = 3
+        assert subject_key(subject).startswith("blob:")
+        assert subject_key(subject) != subject_key(Scalars("c", 1, 2.0))
 
 
 class TestCacheBasics:
