@@ -6,14 +6,13 @@ data path holds up at that scale and writes the numbers to
 ``BENCH_scale.json`` so regressions are visible:
 
 1. **columnar_ingest** — one generated day per scale (10k / 100k / 1M
-   jobs), through *both* world-building paths: the fused
-   :meth:`ScopeWorkloadGenerator.day_batch` (vectorized, straight into
-   :class:`~repro.core.peregrine.JobBatch` columns) and the legacy
-   ``day_jobs`` + ``from_jobs`` pair it replaced.  The fused path's
-   sustained (warm day-1) rate must beat three times the pre-fusion
-   baseline (80k jobs/s generate + 32k jobs/s batchify, i.e. ~22.9k
-   jobs/s end to end) at the largest scale, and the columnar append
-   must sustain >= 500k jobs/sec.
+   jobs) through :meth:`ScopeWorkloadGenerator.day_batch` (vectorized,
+   straight into :class:`~repro.core.peregrine.JobBatch` columns).  Its
+   sustained (warm day-1) rate must beat a multiple of the fixed
+   pre-fusion baseline (80k jobs/s generate + 32k jobs/s batchify, i.e.
+   ~22.9k jobs/s end to end): three times at the million-job point, 1.2
+   times at the largest scale of a quick run.  The columnar append must
+   sustain >= 500k jobs/sec.
 2. **stream_vs_eager** — `stream_days()` must replay the eager
    generator job-for-job at the same seed (the tentpole equivalence
    gate, also pinned in tests/workloads/test_stream.py).
@@ -56,7 +55,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.peregrine import JobBatch, WorkloadRepository, analyze  # noqa: E402
+from repro.core.peregrine import WorkloadRepository, analyze  # noqa: E402
 from repro.workloads.scope import (  # noqa: E402
     ScopeWorkloadConfig,
     ScopeWorkloadGenerator,
@@ -81,9 +80,9 @@ TICK_FLATNESS = 1.5
 BASELINE_GENERATE_JOBS_PER_SEC = 80_000
 BASELINE_BATCHIFY_JOBS_PER_SEC = 32_000
 FUSED_SPEEDUP_GATE = 3.0
-#: The absolute fused gate is judged at the million-job point (fixed
+#: The three-times gate is judged at the million-job point (fixed
 #: per-day costs drown the throughput at smaller scales); runs without
-#: that point gate on beating the measured legacy path instead.
+#: that point gate on a smaller multiple of the same fixed baseline.
 FUSED_GATE_SCALE = 1_000_000
 FUSED_QUICK_SPEEDUP = 1.2
 
@@ -107,7 +106,7 @@ def _rss_mb() -> float:
 
 
 def bench_columnar_ingest(scales: list[int]) -> dict:
-    """One day at each scale through the fused and legacy world paths."""
+    """One day at each scale through the fused world path."""
     points = []
     for jobs_per_day in scales:
         config = ScopeWorkloadConfig.for_scale(jobs_per_day)
@@ -135,51 +134,27 @@ def bench_columnar_ingest(scales: list[int]) -> dict:
         del warm_batch, fused_gen
         gc.collect()
 
-        # Legacy path: materialize the job list, then flatten it.
-        legacy_gen = ScopeWorkloadGenerator(rng=0, config=config)
-        t3 = time.perf_counter()
-        jobs = legacy_gen.day_jobs(0)
-        t4 = time.perf_counter()
-        legacy_batch = JobBatch.from_jobs(jobs)
-        t5 = time.perf_counter()
-        assert len(legacy_batch) == n
-        generate_seconds = t4 - t3
-        batchify_seconds = t5 - t4
-        del jobs, legacy_batch, legacy_gen
-        gc.collect()
-
-        legacy_seconds = generate_seconds + batchify_seconds
-        cold_rate = n / fused_cold_seconds
         points.append(
             {
                 "jobs_per_day": jobs_per_day,
                 "n_jobs": n,
                 "fused_jobs_per_sec": round(n_warm / fused_seconds),
-                "fused_cold_jobs_per_sec": round(cold_rate),
-                "generate_jobs_per_sec": round(n / generate_seconds),
-                "batchify_jobs_per_sec": round(n / batchify_seconds),
-                "legacy_jobs_per_sec": round(n / legacy_seconds),
+                "fused_cold_jobs_per_sec": round(n / fused_cold_seconds),
                 "ingest_jobs_per_sec": round(n / ingest_seconds),
-                # cold vs cold: both sides' day 0 on a fresh generator
-                "fused_speedup_vs_legacy": round(
-                    legacy_seconds / fused_cold_seconds, 2
-                ),
             }
         )
     best_ingest = max(p["ingest_jobs_per_sec"] for p in points)
-    # The fusion gate: at the million-job point, three times the
-    # *fixed* pre-fusion baseline (so the gate does not soften when
-    # today's legacy path happens to run slow); quick runs without that
-    # point must still beat the measured legacy path at their largest
-    # scale.
+    # The fusion gate: a multiple of the *fixed* pre-fusion baseline, so
+    # the gate does not soften with the box's speed of the day.
     at_scale = points[-1]
-    fused_gate = FUSED_SPEEDUP_GATE * _baseline_fused_jobs_per_sec()
     if at_scale["jobs_per_day"] >= FUSED_GATE_SCALE:
         gate_kind = "3x_pre_fusion_baseline_at_1m"
-        gate_met = at_scale["fused_jobs_per_sec"] >= fused_gate
+        speedup = FUSED_SPEEDUP_GATE
     else:
-        gate_kind = "quick_speedup_vs_legacy"
-        gate_met = at_scale["fused_speedup_vs_legacy"] >= FUSED_QUICK_SPEEDUP
+        gate_kind = "1.2x_pre_fusion_baseline_quick"
+        speedup = FUSED_QUICK_SPEEDUP
+    fused_gate = speedup * _baseline_fused_jobs_per_sec()
+    gate_met = at_scale["fused_jobs_per_sec"] >= fused_gate
     return {
         "points": points,
         "best_ingest_jobs_per_sec": best_ingest,
@@ -413,8 +388,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{'columnar_ingest':<18} {point['n_jobs']:>9,} jobs:"
             f" fused {point['fused_jobs_per_sec']:>8,}/s warm"
             f" / {point['fused_cold_jobs_per_sec']:>8,}/s cold"
-            f" (legacy {point['legacy_jobs_per_sec']:>7,}/s,"
-            f" {point['fused_speedup_vs_legacy']:.1f}x)"
             f"  ingest {point['ingest_jobs_per_sec']:>11,}/s"
         )
     print(

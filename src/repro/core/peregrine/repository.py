@@ -27,8 +27,8 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -198,7 +198,10 @@ class StrColumn:
     @classmethod
     def from_strs(cls, strs: list[str]) -> "StrColumn":
         column = cls()
-        column.extend_strs(strs)
+        if strs:
+            blob = np.frombuffer("".join(strs).encode("ascii"), dtype=np.uint8)
+            lens = np.fromiter(map(len, strs), dtype=np.int64, count=len(strs))
+            column._add(blob, np.cumsum(lens))
         return column
 
     @classmethod
@@ -220,16 +223,6 @@ class StrColumn:
         self.blob.extend(blob)
         self.ends.extend(ends + base if base else ends)
 
-    def extend_strs(self, strs: list[str]) -> None:
-        if not strs:
-            return
-        blob = np.frombuffer("".join(strs).encode("ascii"), dtype=np.uint8)
-        lens = np.fromiter(map(len, strs), dtype=np.int64, count=len(strs))
-        self._add(blob, np.cumsum(lens))
-
-    def append(self, value: str) -> None:
-        self.extend_strs([value])
-
     def extend(self, other: "StrColumn") -> None:
         self._add(other.blob.array(), other.ends.array().astype(np.int64))
 
@@ -237,6 +230,13 @@ class StrColumn:
         ends = self.ends.array()
         start = int(ends[row - 1]) if row else 0
         return self.blob.array()[start:int(ends[row])].tobytes().decode("ascii")
+
+    def head(self, n: int) -> "StrColumn":
+        """The first ``n`` strings."""
+        ends = self.ends.array()[:n]
+        return StrColumn.from_buffers(
+            self.blob.array()[:int(ends[-1]) if n else 0], ends
+        )
 
     def tolist(self, n: int | None = None) -> list[str]:
         """The first ``n`` strings (all by default), decoded."""
@@ -315,11 +315,6 @@ class DepsCSR:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def append(self, row: int, depends_on: tuple[str, ...]) -> None:
-        self.rows.append(row)
-        self.ids.extend_strs(list(depends_on))
-        self.offsets.append(len(self.ids))
-
     def extend(self, other: "DepsCSR", base_row: int) -> None:
         if not len(other):
             return
@@ -383,10 +378,6 @@ class ParamPool:
         self.n = n
         self.dicts: dict[int, dict] = {} if dicts is None else dicts
 
-    @classmethod
-    def from_list(cls, pool: list[dict]) -> "ParamPool":
-        return cls(len(pool), {c: dict(p) for c, p in enumerate(pool) if p})
-
     def __len__(self) -> int:
         return self.n
 
@@ -395,18 +386,6 @@ class ParamPool:
         if not 0 <= code < self.n:
             raise IndexError(code)
         return self.dicts.get(code) or {}
-
-    def last_equal(self, params: dict) -> int | None:
-        """The highest code whose dict equals ``params``, if any."""
-        if params:
-            for code, stored in reversed(self.dicts.items()):
-                if stored == params:
-                    return code
-            return None
-        for code in range(self.n - 1, -1, -1):
-            if code not in self.dicts:
-                return code
-        return None
 
     def append(self, params: dict) -> int:
         if params:
@@ -458,40 +437,13 @@ class PlanPool:
 
     __slots__ = ("objects", "names", "recipes", "_name_index", "_built", "_nbytes")
 
-    def __init__(self, items: list | None = None) -> None:
+    def __init__(self) -> None:
         self.objects: dict[int, Expression] = {}
         self.names: list[str] = []
         self.recipes = _Column(_RECIPE)
         self._name_index: dict[str, int] | None = {}
         self._built: dict[int, Expression] = {}
         self._nbytes: int | None = None
-        if items:
-            # Plans and recipes as one list: tests and pre-column files.
-            objects = {
-                code: item
-                for code, item in enumerate(items)
-                if isinstance(item, Expression)
-            }
-            codes = [code for code in range(len(items)) if code not in objects]
-            recipes = [items[c] for c in codes]
-            # Names intern in code order, as appends would: each
-            # recipe's table, column and join table in turn.
-            names: list[str | None] = [None] * (3 * len(recipes))
-            names[0::3] = [recipe[0] for recipe in recipes]
-            names[1::3] = [recipe[1] for recipe in recipes]
-            names[2::3] = [recipe[3] for recipe in recipes]
-            interned = [n for n in dict.fromkeys(names) if n is not None]
-            index = {name: code for code, name in enumerate(interned)}
-            # No join table (None) codes as -1.
-            coded = np.fromiter(
-                map(index.get, names, repeat(-1)), np.int32, len(names)
-            ).reshape(-1, 3)
-            rows = np.zeros(len(recipes), dtype=_RECIPE)
-            for k, field in enumerate(("table", "column", "join")):
-                rows[field] = coded[:, k]
-            rows["value"] = [recipe[2] for recipe in recipes]
-            rows["aggregate"] = [recipe[4] for recipe in recipes]
-            self._fill(len(items), objects, codes, interned, rows)
 
     @classmethod
     def with_recipes(
@@ -505,19 +457,26 @@ class PlanPool:
         """``n`` entries: ``objects`` by code, recipe row ``k`` at
         ``codes[k]``, its names coded into ``names`` (no join: -1)."""
         pool = cls()
-        pool._fill(n, objects, codes, names, rows)
-        return pool
-
-    def _fill(
-        self, n: int, objects: dict, codes, names: list[str], rows: np.ndarray
-    ) -> None:
-        self.objects = objects
-        self.names = names
-        self._name_index = None
+        pool.objects = objects
+        pool.names = names
+        pool._name_index = None
         column = np.zeros(n, dtype=_RECIPE)
         if len(rows):
             column[np.asarray(codes)] = rows
-        self.recipes.extend(column)
+        pool.recipes.extend(column)
+        return pool
+
+    def head(self, n: int) -> "PlanPool":
+        """The first ``n`` entries, sharing the plans already built."""
+        pool = PlanPool.with_recipes(
+            n,
+            {c: p for c, p in self.objects.items() if c < n},
+            np.arange(n),
+            list(self.names),
+            self.recipes.array()[:n],
+        )
+        pool._built = {c: p for c, p in self._built.items() if c < n}
+        return pool
 
     def __len__(self) -> int:
         return len(self.recipes)
@@ -721,6 +680,48 @@ class JobBatch:
             deps=DepsCSR.from_lists(dep_rows, dep_lists),
         )
 
+    def head(self, n: int) -> "JobBatch":
+        """The batch of the first ``n`` rows.
+
+        Plan, parameter and signature codes are numbered by first
+        appearance in row order, so the first rows use a prefix of each
+        pool and every column is a prefix slice: the result equals
+        ``from_jobs`` over the first ``n`` jobs.
+        """
+        if n >= len(self):
+            return self
+        if n < 1:
+            raise ValueError("cannot build an empty JobBatch")
+        n_plans = int(self.plan_codes[:n].max()) + 1
+        n_params = int(self.param_codes[:n].max()) + 1
+        n_codes = int(self.sig_offsets[n_plans])
+        n_sigs = int(self.sig_codes[:n_codes].max()) + 1 if n_codes else 0
+        n_deps = int(np.searchsorted(self.deps.rows.array(), n))
+        dep_ends = self.deps.offsets.array()[1:n_deps + 1]
+        return JobBatch(
+            day=self.day,
+            ids=self.ids.head(n),
+            submit_hours=self.submit_hours[:n],
+            plan_codes=self.plan_codes[:n],
+            param_codes=self.param_codes[:n],
+            plans=self.plans.head(n_plans),
+            template_digests=self.template_digests[:n_plans],
+            strict_digests=self.strict_digests[:n_plans],
+            sig_codes=self.sig_codes[:n_codes],
+            sig_offsets=self.sig_offsets[:n_plans + 1],
+            sig_digests=self.sig_digests[:n_sigs],
+            sig_sizes=self.sig_sizes[:n_sigs],
+            params=ParamPool(
+                n_params,
+                {c: p for c, p in self.params.dicts.items() if c < n_params},
+            ),
+            deps=DepsCSR.from_columns(
+                self.deps.rows.array()[:n_deps],
+                dep_ends,
+                self.deps.ids.head(int(dep_ends[-1]) if n_deps else 0),
+            ),
+        )
+
 
 # ---------------------------------------------------------------------------
 # day chunks
@@ -794,50 +795,7 @@ class DayChunk:
         self._sig_bytes = None
         self._nbytes_cache = None
 
-    def add_plan(
-        self,
-        plan: Expression,
-        template: str,
-        strict: str,
-        sig_names: list[str],
-        sig_sizes: list[int],
-    ) -> int:
-        code = len(self.plans)
-        self.plans.append(plan)
-        template_digest, strict_digest = digests_of([template, strict]).tolist()
-        self.template_digests.append(template_digest)
-        self.strict_digests.append(strict_digest)
-        append = self.sig_codes.append
-        for digest, size in zip(digests_of(sig_names).tolist(), sig_sizes):
-            append(self._intern_sig(digest, size))
-        self.sig_offsets.append(len(self.sig_codes))
-        return code
-
-    def add_params(self, plan_code: int, params: dict) -> int:
-        # Parameter dicts are interned by contents: recurring instances
-        # share one code, as do jobs without parameters.
-        code = self.params.last_equal(params)
-        return self.params.append(params) if code is None else code
-
     # -- appends -------------------------------------------------------------
-    def append_row(
-        self,
-        job_id: str,
-        submit_hour: float,
-        plan_code: int,
-        param_code: int,
-        depends_on: tuple[str, ...],
-    ) -> int:
-        row = self.n
-        self.ids.append(job_id)
-        self.submit_hours.append(submit_hour)
-        self.plan_codes.append(plan_code)
-        self.param_codes.append(param_code)
-        if depends_on:
-            self.deps.append(row, tuple(depends_on))
-        self._invalidate()
-        return row
-
     def append_batch(self, batch: JobBatch) -> None:
         base_row = self.n
         if not len(self.plans):
@@ -1022,8 +980,6 @@ class DayChunk:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        if "job_ids" in state:
-            state = _columnar_state(state)
         self.__init__(state["day"])
         for name in self._ARRAYS:
             column = getattr(self, name)
@@ -1031,48 +987,6 @@ class DayChunk:
         for name in ("ids", "plans", "params", "deps"):
             setattr(self, name, state[name])
         self._sig_index = None
-
-
-def _columnar_state(old: dict) -> dict:
-    """A chunk state written before the columnar layout, converted.
-
-    Those files hold lists: job ids and signature names as ``str``,
-    parameter dicts per code, a row -> ids dependency dict, and plans as
-    a list (or an item-list ``PlanPool``); the oldest also hold one
-    signature code array per plan instead of the flat CSR.
-    """
-    plans = old["plans"]
-    if "plan_sig_codes" in old:
-        per_plan = old["plan_sig_codes"]
-        lens = np.fromiter(map(len, per_plan), np.int64, len(per_plan))
-        offsets = np.zeros(len(per_plan) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        codes = (
-            np.concatenate(per_plan)
-            if per_plan
-            else np.empty(0, dtype=np.uint32)
-        )
-    else:
-        codes, offsets = old["sig_codes"], old["sig_offsets"]
-    return {
-        "day": old["day"],
-        "ids": StrColumn.from_strs(old["job_ids"]),
-        "submit_hours": old["submit_hours"],
-        "plan_codes": old["plan_codes"],
-        "param_codes": old["param_codes"],
-        "plans": plans if isinstance(plans, PlanPool) else PlanPool(plans),
-        "template_digests": digests_of(old["plan_templates"]),
-        "strict_digests": digests_of(old["plan_stricts"]),
-        "sig_codes": codes,
-        "sig_offsets": offsets,
-        "sig_digests": digests_of(old["sig_names"]),
-        "sig_sizes": _sig_sizes(old["sig_sizes"]),
-        "params": ParamPool.from_list(old["params_pool"]),
-        "deps": DepsCSR.from_lists(
-            sorted(old["deps_map"]),
-            [old["deps_map"][row] for row in sorted(old["deps_map"])],
-        ),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1114,7 +1028,6 @@ class JobTable:
         self.day_order: list[int] = []            # first-appearance order
         self.closed_index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.open_day: int | None = None
-        self._open_map: dict[str, int] = {}
         self._open_segments: list[tuple[np.ndarray, np.ndarray]] = []
         self.reopened = False
         self.n_jobs = 0
@@ -1160,7 +1073,6 @@ class JobTable:
             # the open-day segments and drop the derived global order.
             chunk = self.chunk(day)
             self.open_day = day
-            self._open_map = {}
             self._open_segments = [self.closed_index.pop(day)]
             self.index_files.pop(day, None)
             self._global_index = None
@@ -1171,7 +1083,6 @@ class JobTable:
             self.day_counts[day] = 0
             self.day_order.append(day)
             self.open_day = day
-            self._open_map = {}
             self._open_segments = []
         return chunk
 
@@ -1179,21 +1090,8 @@ class JobTable:
         """Finalize a day: build its sorted id-hash index, free lookups."""
         if self.open_day != day:
             return
-        rows: list[np.ndarray] = []
-        hashes: list[np.ndarray] = []
-        for seg_hashes, seg_rows in self._open_segments:
-            hashes.append(seg_hashes)
-            rows.append(seg_rows)
-        if self._open_map:
-            hashes.append(_hash_ids(list(self._open_map)))
-            rows.append(
-                np.fromiter(
-                    self._open_map.values(),
-                    dtype=np.uint32,
-                    count=len(self._open_map),
-                )
-            )
-        if hashes:
+        if self._open_segments:
+            hashes, rows = zip(*self._open_segments)
             all_hashes = np.concatenate(hashes)
             all_rows = np.concatenate(rows)
             order = np.argsort(all_hashes, kind="stable")
@@ -1216,7 +1114,6 @@ class JobTable:
                     np.insert(gl_rows, at, day_rows),
                 )
         self.open_day = None
-        self._open_map = {}
         self._open_segments = []
         self._enforce_budget()
 
@@ -1254,9 +1151,6 @@ class JobTable:
     def _day_has(self, day: int, job_id: str, h: np.uint64) -> int | None:
         """Row of ``job_id`` on ``day`` if present (hash + verify)."""
         if day == self.open_day:
-            row = self._open_map.get(job_id)
-            if row is not None:
-                return row
             for seg_hashes, seg_rows in self._open_segments:
                 lo = int(np.searchsorted(seg_hashes, h, side="left"))
                 hi = int(np.searchsorted(seg_hashes, h, side="right"))
@@ -1295,33 +1189,6 @@ class JobTable:
         return None
 
     # -- appends -------------------------------------------------------------
-    def append_job(
-        self,
-        day: int,
-        job_id: str,
-        submit_hour: float,
-        plan: Expression,
-        template: str,
-        strict: str,
-        sig_names: list[str],
-        sig_sizes: list[int],
-        params: dict,
-        depends_on: tuple[str, ...],
-    ) -> DayChunk:
-        if self.find(job_id) is not None:
-            raise ValueError(f"job {job_id!r} already ingested")
-        chunk = self._ensure_open(day)
-        plan_code = chunk.add_plan(plan, template, strict, sig_names, sig_sizes)
-        param_code = chunk.add_params(plan_code, params)
-        row = chunk.append_row(
-            job_id, submit_hour, plan_code, param_code, depends_on
-        )
-        self._open_map[job_id] = row
-        self.day_counts[day] = chunk.n
-        self.n_jobs += 1
-        self._enforce_budget()
-        return chunk
-
     def append_batch(self, batch: JobBatch) -> DayChunk:
         fixed = batch.ids.fixed()
         hashes = _hash_ids(fixed)
@@ -1351,7 +1218,7 @@ class JobTable:
                         raise ValueError(
                             f"job {job_id!r} already ingested"
                         )
-        if self._open_map or self._open_segments:
+        if self._open_segments:
             for pos in range(len(uniq)):
                 job_id = batch.job_id(int(first[pos]))
                 if self._day_has(batch.day, job_id, uniq[pos]) is not None:
@@ -1419,8 +1286,16 @@ class JobTable:
         return True
 
     def _read_pickle(self, name: str):
-        with (self.spill_dir / name).open("rb") as fh:
-            return pickle.load(fh)
+        """Load a chunk or facts file; a torn, corrupt or pre-columnar
+        one raises one ``ValueError`` naming it."""
+        path = self.spill_dir / name
+        with path.open("rb") as fh:
+            try:
+                return pickle.load(fh)
+            except Exception as exc:
+                # Unpickling damaged bytes can fail with almost any
+                # error type; an old chunk layout fails in __setstate__.
+                raise ValueError(f"{path}: unreadable spill file ({exc!r})") from exc
 
     def _index_file(self, day: int) -> str:
         """The closed day's id index as a file, written on first need."""
@@ -1464,8 +1339,7 @@ class JobTable:
             name: getattr(self, name)
             for name in (
                 "memory_budget_bytes", "day_counts", "day_order", "open_day",
-                "_open_map", "_open_segments", "reopened", "n_jobs",
-                "spills", "loads",
+                "_open_segments", "reopened", "n_jobs", "spills", "loads",
             )
         }
         state["spill_dir"] = str(self.spill_dir) if self.spill_dir else None
@@ -1490,8 +1364,8 @@ class JobTable:
             spill_dir=state["spill_dir"],
         )
         for name in (
-            "day_counts", "day_order", "open_day", "_open_map",
-            "_open_segments", "reopened", "n_jobs", "spills", "loads",
+            "day_counts", "day_order", "open_day", "_open_segments",
+            "reopened", "n_jobs", "spills", "loads",
         ):
             setattr(self, name, state[name])
         if self.spill_dir is None:
@@ -1725,39 +1599,6 @@ class WorkloadRepository:
             self._recurring_instances += count
         stat[1] += count
 
-    def ingest_job(self, job: Job) -> JobRecord:
-        # One bottom-up pass hashes every node; the full-plan signatures
-        # and both subexpression maps come out of the same traversal.
-        strict_map, template_map = enumerate_all_signatures(job.plan)
-        plan_sigs = signatures(job.plan)
-        day = job.day
-        self._note_day_rollover(day)
-        self._table.append_job(
-            day=day,
-            job_id=job.job_id,
-            submit_hour=job.submit_hour,
-            plan=job.plan,
-            template=plan_sigs.template,
-            strict=plan_sigs.strict,
-            sig_names=list(strict_map),
-            sig_sizes=[node.size for node in strict_map.values()],
-            params=dict(job.params),
-            depends_on=job.depends_on,
-        )
-        self._track_templates(plan_sigs.template, day, 1)
-        self._invalidate_day(day)
-        return JobRecord(
-            job_id=job.job_id,
-            submit_hour=job.submit_hour,
-            plan=job.plan,
-            template=plan_sigs.template,
-            strict=plan_sigs.strict,
-            subexpression_templates=template_map,
-            subexpression_strict=strict_map,
-            params=dict(job.params),
-            depends_on=job.depends_on,
-        )
-
     def ingest_batch(self, batch: JobBatch | list[Job]) -> int:
         """Bulk-append one day's columnar batch; returns rows added."""
         if not isinstance(batch, JobBatch):
@@ -1781,8 +1622,10 @@ class WorkloadRepository:
         return len(batch)
 
     def ingest(self, workload: Workload) -> "WorkloadRepository":
-        for job in workload.jobs:
-            self.ingest_job(job)
+        """Ingest ``workload``'s jobs in order, one batch per run of
+        consecutive same-day jobs."""
+        for _, run in groupby(workload.jobs, key=attrgetter("day")):
+            self.ingest_batch(list(run))
         return self
 
     def _invalidate_day(self, day: int) -> None:

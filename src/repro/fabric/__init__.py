@@ -37,7 +37,6 @@ from repro.fabric.plane import (
     ServiceBinding,
 )
 from repro.fabric.store import (
-    FORMAT_V1,
     FORMAT_V2,
     CheckpointStore,
     RetryState,
@@ -65,7 +64,6 @@ __all__ = [
     "CheckpointStore",
     "ScheduleRecord",
     "RetryState",
-    "FORMAT_V1",
     "FORMAT_V2",
     "ChaosResult",
     "run_chaos",

@@ -113,12 +113,6 @@ class FabricHealth:
 
     counters: dict[tuple[str, str], dict[str, int]] = field(default_factory=dict)
 
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints written before the counters stood alone also
-        # carry every stage outcome ever recorded; nothing reads them.
-        state.pop("outcomes", None)
-        self.__dict__.update(state)
-
     def record(self, outcome: StageOutcome) -> None:
         bucket = self.counters.setdefault(
             (outcome.service, outcome.stage),
@@ -510,11 +504,11 @@ class ControlPlane:
         if self._store is not None:
             self._store.save(self)
 
-    def checkpoint(self, path, version: int = 2) -> None:
+    def checkpoint(self, path) -> None:
         """Snapshot fabric state to ``path`` (see :mod:`repro.fabric.store`)."""
         from repro.fabric.store import CheckpointStore
 
-        CheckpointStore(path, version=version).save(self)
+        CheckpointStore(path).save(self)
 
     @classmethod
     def restore(cls, path, obs: "ObservabilityRuntime | None" = None) -> "ControlPlane":

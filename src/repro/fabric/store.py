@@ -14,21 +14,18 @@ self-rescheduling pattern: each run persists its own next-run/retry
 state instead of trusting an in-memory scheduler).
 
 **Checkpoint store.**  :class:`CheckpointStore` is the one checkpoint
-API.  It writes either of two formats and reads both:
-
-- ``repro.fabric/checkpoint@1`` — the legacy single-pickle full
-  snapshot (see DESIGN.md §6).  Still readable forever; written when
-  the store is constructed with ``version=1``.
-- ``repro.fabric/checkpoint@2`` — a **base snapshot plus an
-  append-only chain of deltas**.  Each :meth:`CheckpointStore.save`
-  appends one frame containing the always-changing core state
-  (registry, lifecycle, health, clock) plus the serialized drivers of
-  only the services that changed since the previous frame —
-  *O(changed services)*, not *O(world)*.  Dirty services are found via
-  :meth:`~repro.fabric.pipeline.PipelineDriver.mark_dirty` when the
-  driver opts in (``dirty_aware = True``) and via a content-hash
-  fallback otherwise.  :meth:`CheckpointStore.compact` collapses the
-  chain back into a single base frame.
+API, over one format: ``repro.fabric/checkpoint@2``, a **base snapshot
+plus an append-only chain of deltas**.  Each
+:meth:`CheckpointStore.save` appends one frame containing the
+always-changing core state (registry, lifecycle, health, clock) plus the
+serialized drivers of only the services that changed since the previous
+frame — *O(changed services)*, not *O(world)*.  Dirty services are found
+via :meth:`~repro.fabric.pipeline.PipelineDriver.mark_dirty` when the
+driver opts in (``dirty_aware = True``) and via a content-hash fallback
+otherwise.  :meth:`CheckpointStore.compact` collapses the chain back
+into a single base frame.  Any file that is not such a chain — a
+``@1`` single pickle from before this format, garbage, an empty or torn
+file — is refused with one ``ValueError`` naming it.
 
 Each driver blob starts with a **prelude** that names the objects it
 shares with the rest of the chain by index: the core's
@@ -53,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import pickle
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -64,9 +62,7 @@ if TYPE_CHECKING:
     from repro.fabric.plane import ControlPlane
     from repro.obs.runtime import ObservabilityRuntime
 
-#: Legacy full-pickle format tag (still written with ``version=1``).
-FORMAT_V1 = "repro.fabric/checkpoint@1"
-#: Base + append-only delta chain (the default).
+#: Base + append-only delta chain.
 FORMAT_V2 = "repro.fabric/checkpoint@2"
 #: Chain file name used when the store is given a directory.
 CHAIN_FILENAME = "fabric.ckpt"
@@ -299,7 +295,7 @@ def _blob_hash(blob: bytes) -> str:
 class SaveResult:
     """What one :meth:`CheckpointStore.save` wrote."""
 
-    kind: str  # "full" (@1) | "base" | "delta"
+    kind: str  # "base" | "delta"
     path: Path
     bytes_written: int
     saved: list[str] = field(default_factory=list)
@@ -307,24 +303,19 @@ class SaveResult:
 
 
 class CheckpointStore:
-    """Save/load fabric checkpoints with format-version negotiation.
+    """Save/load fabric checkpoints as a ``@2`` base+delta chain.
 
-    ``CheckpointStore(path)`` writes the ``@2`` base+delta chain (the
-    first :meth:`save` writes the base, later saves append deltas);
-    ``CheckpointStore(path, version=1)`` writes the legacy ``@1`` full
-    pickle.  :meth:`load` reads either format from a file or a store
-    directory.  ``path`` may be a directory (the chain lives at
+    The first :meth:`save` writes the base, later saves append deltas.
+    :meth:`load` reads a chain from a file or a store directory.
+    ``path`` may be a directory (the chain lives at
     ``<path>/fabric.ckpt`` with ``schedule.json`` beside it) or a file
-    (the sidecar gains a ``.schedule.json`` suffix).  A ``@2`` store
-    continues an existing chain; if the file there is not a readable
-    chain (a ``@1`` pickle, a torn write), saving raises ``ValueError``
-    naming it instead of replacing it.
+    (the sidecar gains a ``.schedule.json`` suffix).  A store continues
+    an existing chain; if the file there is not a readable chain (a
+    ``@1`` pickle, a torn write), saving raises ``ValueError`` naming it
+    instead of replacing it.
     """
 
-    def __init__(self, path, version: int = 2) -> None:
-        if version not in (1, 2):
-            raise ValueError(f"unknown checkpoint version {version!r}")
-        self.version = version
+    def __init__(self, path) -> None:
         self.path = self._resolve(Path(path))
         self._seq = 0
         self._has_base = False
@@ -388,9 +379,7 @@ class CheckpointStore:
 
     # -- saving ------------------------------------------------------------------
     def save(self, plane: "ControlPlane") -> SaveResult:
-        """Persist ``plane``: @1 full pickle, or @2 base-then-deltas."""
-        if self.version == 1:
-            return self._save_v1(plane)
+        """Persist ``plane``: a base frame first, deltas after."""
         if not self._has_base:
             return self.snapshot(plane)
         return self.delta(plane)
@@ -401,8 +390,6 @@ class CheckpointStore:
 
     def delta(self, plane: "ControlPlane") -> SaveResult:
         """Append a delta frame holding only the changed services."""
-        if self.version == 1:
-            raise ValueError("@1 checkpoints are full pickles; deltas need version=2")
         if not self._has_base:
             raise ValueError(
                 "no base snapshot in the chain yet: call save() or snapshot() first"
@@ -568,18 +555,6 @@ class CheckpointStore:
                 rows[attr] = obj[mark:]
         return rows
 
-    def _save_v1(self, plane: "ControlPlane") -> SaveResult:
-        data = checkpoint_bytes_v1(plane)
-        self.path.write_bytes(data)
-        self._write_schedule(plane, [b.record.to_dict() for b in plane.bindings])
-        self._emit_saved(plane, "full", len(data), [b.name for b in plane.bindings], [])
-        return SaveResult(
-            kind="full",
-            path=self.path,
-            bytes_written=len(data),
-            saved=sorted(b.name for b in plane.bindings),
-        )
-
     def _write_schedule(self, plane: "ControlPlane", schedule: list[dict]) -> None:
         """The sidecar: sorted keys, one service record per line.
 
@@ -589,7 +564,7 @@ class CheckpointStore:
         head = json.dumps(
             {
                 "day": plane.day,
-                "format": FORMAT_V2 if self.version == 2 else FORMAT_V1,
+                "format": FORMAT_V2,
                 "now": plane.queue.now,
             },
             sort_keys=True,
@@ -646,22 +621,9 @@ class CheckpointStore:
     def load(
         cls, path, obs: "ObservabilityRuntime | None" = None
     ) -> "ControlPlane":
-        """Rebuild a plane from ``path`` — @1 file, @2 chain, or store dir."""
+        """Rebuild a plane from the chain at ``path`` (a file or store dir)."""
         chain = cls._resolve(Path(path))
-        with chain.open("rb") as fh:
-            first = pickle.load(fh)
-        if not isinstance(first, dict):
-            raise ValueError(f"{chain} is not a fabric checkpoint")
-        fmt = first.get("format")
-        if fmt == FORMAT_V1:
-            plane = restore_v1(first)
-        elif fmt == FORMAT_V2:
-            plane = _restore_chain(chain, _read_frames(chain))
-        else:
-            raise ValueError(
-                f"not a fabric checkpoint (expected format {FORMAT_V1!r}"
-                f" or {FORMAT_V2!r}, got {fmt!r})"
-            )
+        plane = _restore_chain(chain, _read_frames(chain))
         if obs is not None:
             with obs.span("fabric.checkpoint.load", layer="fabric", day=plane.day):
                 plane.bind(obs)
@@ -673,11 +635,10 @@ def _read_frames(path: Path) -> list[dict]:
     """Every frame in the @2 chain at ``path``, oldest first."""
     frames: list[dict] = []
     with path.open("rb") as fh:
-        while True:
+        size = os.fstat(fh.fileno()).st_size
+        while fh.tell() < size:
             try:
                 frame = pickle.load(fh)
-            except EOFError:
-                break
             except Exception as exc:
                 # A torn or corrupt frame: unpickling damaged bytes
                 # can fail with almost any error type.
@@ -781,11 +742,9 @@ def _dump_driver(driver: "PipelineDriver", refs: list, *before: object) -> bytes
 def _plane_from_core(core: dict) -> "ControlPlane":
     from repro.fabric.plane import ControlPlane
 
-    tuner_state = core.get("tuner")  # absent in pre-tuner checkpoints
-    if tuner_state is not None:
-        from repro.parallel import get_tuner
+    from repro.parallel import get_tuner
 
-        get_tuner().load_state_dict(tuner_state)
+    get_tuner().load_state_dict(core["tuner"])
     plane = ControlPlane(
         registry=core["registry"],
         retry=core["retry"],
@@ -795,90 +754,8 @@ def _plane_from_core(core: dict) -> "ControlPlane":
     plane.health = core["health"]
     plane.day = core["day"]
     plane._lifecycle_mirrored = core["mirrored"]
-    plane.total_ticks = core.get("total_ticks", 0)
+    plane.total_ticks = core["total_ticks"]
     plane.queue.now = core["now"]
-    return plane
-
-
-# ---------------------------------------------------------------------------
-# the @1 format (kept bit-compatible with the original module functions)
-# ---------------------------------------------------------------------------
-
-
-def checkpoint_bytes_v1(plane: "ControlPlane") -> bytes:
-    """Serialize ``plane`` to a @1 single-pickle snapshot."""
-    obs = plane._obs
-    plane.bind(None)
-    try:
-        state = {
-            "day": plane.day,
-            "now": plane.queue.now,
-            "registry": plane.registry,
-            "lifecycle": plane.lifecycle,
-            "retry": plane.retry,
-            "injector": plane.injector,
-            "health": plane.health,
-            "mirrored": plane._lifecycle_mirrored,
-            "total_ticks": plane.total_ticks,
-            "bindings": [
-                {
-                    "name": b.name,
-                    "cadence_days": b.cadence_days,
-                    "next_due": b.next_due,
-                    "ticks": b.ticks,
-                    "paused": b.record.paused,
-                    "retry_state": (
-                        b.record.retry.to_dict() if b.record.retry else None
-                    ),
-                    "max_attempts": b.record.max_attempts,
-                    "driver": b.driver,
-                }
-                for b in plane.bindings
-            ],
-        }
-        return pickle.dumps({"format": FORMAT_V1, "state": state}, protocol=4)
-    finally:
-        plane.bind(obs)
-
-
-def restore_v1(payload: dict) -> "ControlPlane":
-    """Rebuild a plane from an unpickled @1 envelope."""
-    from repro.fabric.plane import ServiceBinding
-
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_V1:
-        raise ValueError(
-            f"not a fabric checkpoint (expected format {FORMAT_V1!r})"
-        )
-    state = payload["state"]
-    plane = _plane_from_core(
-        {
-            "registry": state["registry"],
-            "retry": state["retry"],
-            "injector": state["injector"],
-            "lifecycle": state["lifecycle"],
-            "health": state["health"],
-            "day": state["day"],
-            "mirrored": state["mirrored"],
-            "total_ticks": state.get("total_ticks", 0),
-            "now": state["now"],
-        }
-    )
-    for index, saved in enumerate(state["bindings"]):
-        retry_state = saved.get("retry_state")
-        record = ScheduleRecord(
-            name=saved["name"],
-            index=index,
-            cadence_days=saved["cadence_days"],
-            next_due=saved["next_due"],
-            ticks=saved["ticks"],
-            paused=saved.get("paused", False),
-            max_attempts=saved.get("max_attempts", plane.retry.max_attempts),
-            retry=RetryState.from_dict(retry_state) if retry_state else None,
-        )
-        plane.bindings.append(
-            ServiceBinding(driver=saved["driver"], record=record)
-        )
-    plane.rebuild_schedule()
     return plane
 
 

@@ -9,11 +9,10 @@ the previous day's data is garbage the moment the tick moves on, so a
 million-job world never sits in RAM.
 
 A day is the first ``jobs_per_day`` jobs the generator stamps for it,
-as one :class:`~repro.core.peregrine.repository.JobBatch`.  When the
-whole day fits (every default-sized world does), the batch comes from
-the fused columnar path (:meth:`ScopeWorkloadGenerator.day_batch`) and
-never exists as a job list; a longer day is generated once as jobs and
-its head batched.
+as one :class:`~repro.core.peregrine.repository.JobBatch` built by the
+fused columnar path (:meth:`ScopeWorkloadGenerator.day_batch`); it never
+exists as a job list.  A world smaller than the generator's minimum day
+keeps the day's head (:meth:`JobBatch.head`).
 
 With ``overlap=True``, accessing day ``d`` also submits day ``d+1``'s
 generation to the persistent :class:`~repro.parallel.WorkerPool`: the
@@ -53,16 +52,8 @@ def _world(seed: int, jobs_per_day: int) -> ScopeWorkloadGenerator:
 def _head_batch(
     generator: ScopeWorkloadGenerator, day: int, head: int
 ) -> "JobBatch":
-    """The first ``head`` jobs of ``day`` as one batch.
-
-    A day that fits takes the fused path; a longer one is generated
-    once and its head batched (the day's length is known up front).
-    """
-    if generator.recurring_per_day + generator.adhoc_per_day <= head:
-        return generator.day_batch(day)
-    from repro.core.peregrine.repository import JobBatch
-
-    return JobBatch.from_jobs(generator.day_jobs(day)[:head])
+    """The first ``head`` jobs of ``day`` as one batch."""
+    return generator.day_batch(day).head(head)
 
 
 def _prefetch_day(payload: tuple) -> tuple["JobBatch", object]:

@@ -26,7 +26,6 @@ from binascii import hexlify
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import sha1
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
@@ -51,10 +50,6 @@ if TYPE_CHECKING:
     from repro.core.peregrine.repository import JobBatch, StrColumn
 
 HOURS_PER_DAY = 24.0
-
-#: C-level sort key for the per-day stable sort (same order as the old
-#: ``lambda j: j.submit_hour``, measurably cheaper at 100k+ jobs/day).
-_BY_SUBMIT_HOUR = attrgetter("submit_hour")
 
 
 def _job_shard_key(job: "Job") -> str:
@@ -480,12 +475,11 @@ class AdhocRecipe(NamedTuple):
         """The plan these draws describe: filter-scan, optionally joined
         to a second scan, capped by an aggregate or a project.
 
-        The one ad-hoc plan builder (the per-job generator uses it too).
-        Equivalent to building the tree with the dataclass constructors,
-        but ~6x cheaper: frozen-dataclass ``__init__`` pays two
-        ``object.__setattr__`` calls per field, while filling ``__dict__``
-        directly (in field order, so pickles lay out identically) costs
-        one dict store.
+        The one ad-hoc plan builder.  Equivalent to building the tree
+        with the dataclass constructors, but ~6x cheaper:
+        frozen-dataclass ``__init__`` pays two ``object.__setattr__``
+        calls per field, while filling ``__dict__`` directly (in field
+        order, so pickles lay out identically) costs one dict store.
         """
         table, column, value, join_table, aggregate = self
         pred = Predicate.__new__(Predicate)
@@ -604,7 +598,6 @@ class _AdhocLayout(NamedTuple):
     col_low: np.ndarray         # f8 per column: ``low``
     col_span: np.ndarray        # f8 per column: ``high - low``
     producer_hours: np.ndarray  # f8 per producer: its submit offset
-    producer_tails: list[str]   # per producer: its first job's id tail
     names: list[str]            # per name slot
     name_values: np.ndarray     # per name slot: the name's value number
 
@@ -612,12 +605,12 @@ class _AdhocLayout(NamedTuple):
     def build(
         cls,
         base_tables: list[TableDef],
-        producers: list[tuple[TableDef, str, float]],
+        producers: list[tuple[TableDef, float]],
         dependency_fraction: float,
     ) -> "_AdhocLayout":
         """The layout of ``base_tables`` and ``producers``, each producer
-        as (output table, first job's id tail, submit-hour offset)."""
-        tables = list(base_tables) + [table for table, _, _ in producers]
+        as (output table, submit-hour offset)."""
+        tables = list(base_tables) + [table for table, _ in producers]
         n_cands: list[int] = []
         col_base: list[int] = []
         columns: list[ColumnStats] = []
@@ -645,9 +638,8 @@ class _AdhocLayout(NamedTuple):
                 [c.high - c.low for c in columns], dtype=np.float64
             ),
             producer_hours=np.asarray(
-                [hour for _, _, hour in producers], dtype=np.float64
+                [hour for _, hour in producers], dtype=np.float64
             ),
-            producer_tails=[tail for _, tail, _ in producers],
             names=names,
             name_values=np.asarray(
                 [values.setdefault(name, len(values)) for name in names],
@@ -671,18 +663,6 @@ class _AdhocDraws(NamedTuple):
     value: np.ndarray       # f8 predicate literal
     hour: np.ndarray        # f8 submit hour
     producer: np.ndarray    # i8
-
-    def recipes(self, layout: _AdhocLayout) -> Iterator[AdhocRecipe]:
-        """Each job's :class:`AdhocRecipe`, in row order."""
-        tables, columns = layout.tables, layout.columns
-        for t, c, j, value, aggregate in zip(
-            self.table.tolist(), self.column.tolist(), self.join.tolist(),
-            self.value.tolist(), self.aggregate.tolist(),
-        ):
-            yield AdhocRecipe(
-                tables[t].name, columns[c].name, value,
-                tables[j].name if j >= 0 else None, aggregate,
-            )
 
 
 class _TailBlob(NamedTuple):
@@ -803,7 +783,8 @@ def _decode_adhoc(
 
     A pure function of ``words`` and the half-word buffer the day starts
     with (``has32``, ``buf32``): the values and consumption of the
-    scalar calls the per-job generator made, job by job —
+    scalar ``Generator`` calls the generator is pinned to (the golden
+    day digests were captured from them), job by job —
 
     - ``submit_hour = day_start + 24 * random()``;
     - with producers, ``random() < adhoc_dependency_fraction`` picks a
@@ -1203,96 +1184,53 @@ class ScopeWorkloadGenerator:
             )
         )
 
-    def _recurring_job_id(self, day: int, template_id: int, instance: int) -> str:
-        return f"d{day:03d}-" + self._id_suffix(template_id, instance)
-
-    def _generate_day(self, day: int, rng: np.random.Generator) -> list[Job]:
-        """One day's jobs, sorted by submit hour.
-
-        All randomness comes from ``rng`` (only ad-hoc jobs draw), so the
-        same RNG state always reproduces the same day.  Because every
-        day's submit hours fall strictly inside ``[24*day, 24*(day+1))``
-        and Python's sort is stable, concatenating per-day sorted lists
-        is bit-identical to the old whole-trace global sort.
-        """
-        cfg = self.config
-        instances = cfg.instances_per_template
-        prefix = f"d{day:03d}-"
-        jobs: list[Job] = []
-        template_job_ids: dict[int, list[str]] = {}
-        for template in self._templates_by_hour:
-            plan, params, *_ = template.instantiate(
-                day, cfg.drift_per_day, self._scaffold(template)
-            )
-            upstream_ids = (
-                template_job_ids.get(template.upstream_template)
-                if template.upstream_template is not None
-                else None
-            )
-            ids: list[str] = []
-            for k in range(instances):
-                job_id = self._recurring_job_id(day, template.template_id, k)
-                depends = ()
-                if upstream_ids is not None:
-                    depends = (upstream_ids[min(k, len(upstream_ids) - 1)],)
-                jobs.append(
-                    Job(
-                        job_id=job_id,
-                        plan=plan,
-                        submit_hour=day * HOURS_PER_DAY
-                        + template.submit_hour_offset,
-                        template_id=template.template_id,
-                        pipeline_id=template.pipeline_id,
-                        params=params,
-                        depends_on=depends,
-                    )
-                )
-                ids.append(job_id)
-            template_job_ids[template.template_id] = ids
-        # Ad-hoc jobs: with probability ``adhoc_dependency_fraction`` one
-        # consumes a pipeline's derived output table (ad-hoc analysis over
-        # production data) and depends on the producer's first job.
-        layout = self._adhoc_layout()
-        draws = self._adhoc_day_draws(rng, day, self.adhoc_per_day)
-        for k, (recipe, hour, producer) in enumerate(zip(
-            draws.recipes(layout), draws.hour.tolist(), draws.producer.tolist()
-        )):
-            jobs.append(Job(
-                job_id=f"{prefix}adhoc{k:03d}",
-                plan=recipe.build(),
-                submit_hour=hour,
-                depends_on=(
-                    (prefix + layout.producer_tails[producer],)
-                    if producer >= 0 else ()
-                ),
-            ))
-        jobs.sort(key=_BY_SUBMIT_HOUR)
-        return jobs
-
     def generate(self, n_days: int = 7) -> Workload:
-        """Stamp out ``n_days`` of jobs (recurring daily + ad-hoc filler)."""
+        """Stamp out ``n_days`` of jobs (recurring daily + ad-hoc filler).
+
+        The days are :meth:`day_jobs` ``0..n_days-1``; ``self._rng`` is
+        left at the start of day ``n_days``.
+        """
         if n_days < 1:
             raise ValueError("n_days must be >= 1")
         jobs: list[Job] = []
         for day in range(n_days):
-            jobs.extend(self._generate_day(day, self._rng))
+            jobs.extend(self.day_jobs(day))
+        self._rng.bit_generator.state = self._day_states[n_days]
         return Workload(jobs=jobs, catalog=self.catalog, n_days=n_days)
 
     # -- streaming -----------------------------------------------------------
     def day_jobs(self, day: int) -> list[Job]:
-        """One day's jobs without materializing any other day.
+        """One day's jobs in submit order, as ``Job`` objects.
 
-        Replays the seeded stream to ``day`` if needed (caching the RNG
-        state at each day boundary, so forward iteration is O(1) per
-        day) and returns exactly the jobs a fresh generator's first
-        ``generate()`` would place on that day.  Never consumes
-        ``self._rng``: eager and streaming reads can interleave freely.
+        A view over one :meth:`day_batch` build for the consumers that
+        need objects: recurring instances of a template share its plan
+        and parameter dict, and ad-hoc plans are built from their
+        recipes.  Never consumes ``self._rng``.
         """
-        if day < 0:
-            raise ValueError("day must be >= 0")
-        rng = self._replay_to(day)
-        jobs = self._generate_day(day, rng)
-        self._day_states.setdefault(day + 1, rng.bit_generator.state)
+        batch, refs = self._day_batch(day)
+        templates = self._batch_layout().templates
+        adhoc = [None] * self.adhoc_per_day
+        template_ids = [t.template_id for t in templates] + adhoc
+        pipeline_ids = [t.pipeline_id for t in templates] + adhoc
+        deps = dict(batch.deps.items())
+        plans, params = batch.plans, batch.params
+        jobs: list[Job] = []
+        for row, (job_id, hour, code, param_code, ref) in enumerate(zip(
+            batch.ids.tolist(),
+            batch.submit_hours.tolist(),
+            batch.plan_codes.tolist(),
+            batch.param_codes.tolist(),
+            refs.tolist(),
+        )):
+            jobs.append(Job(
+                job_id=job_id,
+                plan=plans[code],
+                submit_hour=hour,
+                template_id=template_ids[ref],
+                pipeline_id=pipeline_ids[ref],
+                params=params[param_code],
+                depends_on=deps.get(row, ()),
+            ))
         return jobs
 
     def _replay_to(self, day: int) -> np.random.Generator:
@@ -1324,10 +1262,6 @@ class ScopeWorkloadGenerator:
             return f"t{template_id:03d}"
         return f"t{template_id:03d}-i{instance:03d}"
 
-    def iter_jobs(self, day: int) -> Iterator[Job]:
-        """Iterate one day's jobs in submit order (see :meth:`day_jobs`)."""
-        return iter(self.day_jobs(day))
-
     def stream_days(self, n_days: int, start_day: int = 0) -> Iterator[list[Job]]:
         """Yield one day's job list at a time, never a full ``Workload``.
 
@@ -1346,11 +1280,10 @@ class ScopeWorkloadGenerator:
         """Every random decision of a day's ``n`` ad-hoc jobs, as columns.
 
         This is the single source of truth for the ad-hoc RNG stream:
-        the per-job path (:meth:`_generate_day`), the fused batch path
-        (:meth:`day_batch`), and the replay skip (:meth:`_skip_day`) all
-        consume ``rng`` through here, so every path advances the
-        generator identically — the invariant the bit-identity pins rest
-        on.  The draws are the ``Generator.random()`` and
+        the batch build (:meth:`day_batch`) and the replay skip
+        (:meth:`_skip_day`) both consume ``rng`` through here, so both
+        advance the generator identically — the invariant random day
+        access rests on.  The draws are the ``Generator.random()`` and
         ``integers(0, m)`` calls of :func:`_decode_adhoc`, replayed from
         blocks of raw PCG64 output: the same values and the same end
         state as the scalar calls, without their per-call dispatch.
@@ -1388,11 +1321,7 @@ class ScopeWorkloadGenerator:
             self._draw_layout = _AdhocLayout.build(
                 self._base_tables,
                 [
-                    (
-                        self.catalog.get(t.output_table),
-                        self._id_suffix(t.template_id, 0),
-                        t.submit_hour_offset,
-                    )
+                    (self.catalog.get(t.output_table), t.submit_hour_offset)
                     for t in producers
                 ],
                 self.config.adhoc_dependency_fraction,
@@ -1412,10 +1341,9 @@ class ScopeWorkloadGenerator:
         """The day-independent rows of a fused day (see :class:`_DayLayout`).
 
         A consumer instance depends on its producer's matching instance
-        *iff* the producer was stamped earlier in by-hour order — the
-        exact ``template_job_ids.get`` behaviour of ``_generate_day``
-        (equal-hour ties resolve by template id, so a chain wired
-        "backwards" at the 23.0 clamp yields no edge there either).
+        *iff* the producer comes earlier in by-hour order (equal-hour
+        ties resolve by template id, so a chain wired "backwards" at the
+        23.0 clamp yields no edge there).
         """
         if self._day_layout is None:
             instances = self.config.instances_per_template
@@ -1518,19 +1446,23 @@ class ScopeWorkloadGenerator:
     def day_batch(self, day: int) -> "JobBatch":
         """One day, fused straight into :class:`JobBatch` columns.
 
-        Bit-identical to ``JobBatch.from_jobs(self.day_jobs(day))`` —
-        same columns, pools, interning order, and RNG advancement — but
-        no per-job ``Job`` objects, no Python sort, and no signature
-        walk: each recurring template's plan is stamped from its
-        scaffold with only its literal nodes re-hashed, its instances
-        repeat it as columns, and each ad-hoc plan costs 2–3 SHA1 calls
-        over its decoded draw columns.  Ad-hoc plans stay recipe
-        columns of the plan pool until read (a read builds a plan ``==``
-        the one ``day_jobs`` stamps), signatures stay raw 8-byte
+        Equal to ``JobBatch.from_jobs(self.day_jobs(day))`` — same
+        columns, pools and interning order — but built without per-job
+        ``Job`` objects, a Python sort or a signature walk: each
+        recurring template's plan is stamped from its scaffold with only
+        its literal nodes re-hashed, its instances repeat it as columns,
+        and each ad-hoc plan costs 2–3 SHA1 calls over its decoded draw
+        columns.  Ad-hoc plans stay recipe
+        columns of the plan pool until read, signatures stay raw 8-byte
         digests, job ids one byte blob, and the signature codes one flat
-        array with per-plan offsets.  Interleaves freely with
-        :meth:`day_jobs`/:meth:`stream_days` (shared day-state cache).
+        array with per-plan offsets.  Any day can be built in any order
+        (shared day-state cache).
         """
+        return self._day_batch(day)[0]
+
+    def _day_batch(self, day: int) -> tuple["JobBatch", np.ndarray]:
+        """:meth:`day_batch` plus each row's ref: ``r < len(templates)``
+        is by-hour template ``r``, larger refs are ad-hoc jobs."""
         if day < 0:
             raise ValueError("day must be >= 0")
         rng = self._replay_to(day)
@@ -1542,14 +1474,16 @@ class ScopeWorkloadGenerator:
         if was_enabled:
             gc.disable()
         try:
-            batch = self._build_day_batch(day, rng)
+            built = self._build_day_batch(day, rng)
         finally:
             if was_enabled:
                 gc.enable()
         self._day_states.setdefault(day + 1, rng.bit_generator.state)
-        return batch
+        return built
 
-    def _build_day_batch(self, day: int, rng: np.random.Generator) -> "JobBatch":
+    def _build_day_batch(
+        self, day: int, rng: np.random.Generator
+    ) -> tuple["JobBatch", np.ndarray]:
         from repro.core.peregrine.repository import (
             DIGEST,
             DepsCSR,
@@ -1658,7 +1592,7 @@ class ScopeWorkloadGenerator:
         names_adhoc[starts[at] + 2] = layout.table_scans[draws.join[at]]
         sizes_adhoc[starts[at] + 2] = 1
 
-        # Stable sort by submit hour == the legacy per-day Python sort.
+        # Stable sort by submit hour: equal-hour jobs keep draw order.
         rec_hours = layout.rec_offsets + day * HOURS_PER_DAY
         hours = np.concatenate([rec_hours, draws.hour]) if n_adhoc else rec_hours
         refs = np.concatenate(
@@ -1762,7 +1696,7 @@ class ScopeWorkloadGenerator:
             layout.producer_rows[draws.producer[consumers]],
         ])
         by_row = np.argsort(dep_rows, kind="stable")
-        return JobBatch(
+        batch = JobBatch(
             day=day,
             ids=layout.tails.column(prefix, order),
             submit_hours=hours[order],
@@ -1782,6 +1716,7 @@ class ScopeWorkloadGenerator:
                 layout.tails.column(prefix, dep_tails[by_row]),
             ),
         )
+        return batch, sorted_refs
 
     def _recipe_rows(
         self, draws: _AdhocDraws, by_code: np.ndarray

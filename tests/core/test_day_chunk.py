@@ -6,9 +6,9 @@ dependency ids as byte blobs, signatures as raw digests with one flat
 code array plus per-plan offsets, and only non-empty parameter dicts.
 These tests pin what that must not change: plans built on read equal
 the ones ``day_jobs`` stamps, a read never turns a recipe into a
-pickled tree, split and reopened days read back like one batch, older
-chunk files still load, ``nbytes()`` tracks what a chunk really keeps
-resident, and a chunk holds no Python object per row.
+pickled tree, split and reopened days read back like one batch, a chunk
+file that cannot be read names itself, ``nbytes()`` tracks what a chunk
+really keeps resident, and a chunk holds no Python object per row.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.peregrine import JobBatch, WorkloadRepository
-from repro.core.peregrine.repository import DayChunk, PlanPool, hex_names
+from repro.core.peregrine.repository import _RECIPE, DayChunk, PlanPool
 from repro.engine import (
     Aggregate,
     DefaultCardinalityEstimator,
@@ -117,13 +117,21 @@ class TestRecipes:
 
     def test_pool_extend_keeps_built_plans(self):
         recipe = AdhocRecipe("t", "c", 1.5, None, True)
-        source = PlanPool([recipe])
+        source = _recipe_pool(recipe)
         plan = source[0]
-        pool = PlanPool([recipe])
+        pool = _recipe_pool(recipe)
         pool.extend(source)
         assert pool[1] is plan
         assert pool[0] == plan and pool[0] is not plan
         assert isinstance(plan, Expression)
+
+
+def _recipe_pool(recipe: AdhocRecipe) -> PlanPool:
+    """A one-entry pool holding ``recipe`` as a recipe row (no join)."""
+    row = np.zeros(1, dtype=_RECIPE)
+    row["column"], row["join"] = 1, -1
+    row["value"], row["aggregate"] = recipe.value, recipe.aggregate
+    return PlanPool.with_recipes(1, {}, [0], [recipe.table, recipe.column], row)
 
 
 def _one_batch_repo(day_jobs):
@@ -176,125 +184,29 @@ class TestSplitDays:
         self._assert_same_day(repo, ref, 0)
 
 
-def _list_pools(chunk: DayChunk) -> dict:
-    """A chunk's pools as the lists files held before the columnar layout."""
-    plans = chunk.plans
-    return {
-        "day": chunk.day,
-        "job_ids": chunk.ids.tolist(),
-        "submit_hours": chunk.submit_hours.array(),
-        "plan_codes": chunk.plan_codes.array(),
-        "param_codes": chunk.param_codes.array(),
-        "plan_templates": hex_names(chunk.template_digests.array()),
-        "plan_stricts": hex_names(chunk.strict_digests.array()),
-        "sig_names": hex_names(chunk.sig_digests.array()),
-        "sig_sizes": chunk.sig_sizes.array().tolist(),
-        "params_pool": [dict(plans_params) for plans_params in map(
-            chunk.params.__getitem__, range(len(chunk.params))
-        )],
-        "deps_map": dict(chunk.deps.items()),
-        "items": [plans.recipe(c) or plans[c] for c in range(len(plans))],
-    }
+class TestUnreadableChunkFiles:
+    """A spilled chunk that cannot be read raises one error naming it."""
 
-
-def _old_layout(self: DayChunk) -> dict:
-    """A chunk's pickle state as files written before the flat CSR."""
-    state = _list_pools(self)
-    items = state.pop("items")
-    codes = self.sig_codes.array()
-    offsets = self.sig_offsets.array()
-    state["plans"] = [
-        item if isinstance(item, Expression) else item.build()
-        for item in items
-    ]
-    state["plan_sig_codes"] = [
-        codes[offsets[p]:offsets[p + 1]] for p in range(len(items))
-    ]
-    return state
-
-
-class _ItemPool:
-    """Pickles as the list-pool ``PlanPool(items)`` the parent wrote."""
-
-    def __init__(self, items: list) -> None:
-        self.items = items
-
-    def __reduce__(self):
-        return PlanPool, (self.items,)
-
-
-def _parent_layout(self: DayChunk) -> dict:
-    """A chunk's pickle state as files written before the columnar
-    layout: the flat signature CSR, but ids, names, parameter dicts and
-    dependencies as Python lists and a recipe-list plan pool."""
-    state = _list_pools(self)
-    state["plans"] = _ItemPool(state.pop("items"))
-    state["sig_codes"] = self.sig_codes.array()
-    state["sig_offsets"] = self.sig_offsets.array()
-    return state
-
-
-def _spill_each_day(tmp_path, batches, layout, monkeypatch):
-    repo = WorkloadRepository(memory_budget_bytes=1, spill_dir=tmp_path)
-    with monkeypatch.context() as patch:
-        patch.setattr(DayChunk, "__getstate__", layout)
-        for batch in batches:
-            repo.ingest_batch(batch)
-    assert repo.chunk_stats()["spills"] >= len(batches) - 1
-    return repo
-
-
-class TestOldChunkFiles:
-    def test_old_layout_is_flattened_on_load(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("damage", ["truncated", "old_layout"])
+    def test_unreadable_chunk_names_its_file(self, tmp_path, monkeypatch, damage):
         generator = _generator(seed=6)
-        batches = [generator.day_batch(day) for day in range(3)]
-        ref = WorkloadRepository()
-        for batch in batches:
-            ref.ingest_batch(batch)
-        repo = _spill_each_day(tmp_path, batches, _old_layout, monkeypatch)
-        loads = repo.chunk_stats()["loads"]
-        for day in range(3):
-            chunk = repo._table.chunk(day)
-            assert chunk.sig_offsets.array().dtype == np.int64
-            assert len(chunk.sig_offsets) == len(chunk.plans) + 1
-            assert repo.day_sharing_summary(day) == ref.day_sharing_summary(day)
-            assert repo.by_day(day) == ref.by_day(day)
-        assert repo.chunk_stats()["loads"] > loads
-
-    def test_parent_layout_loads_to_identical_reads(self, tmp_path, monkeypatch):
-        generator = _generator(seed=6, jobs_per_day=1200)
-        batches = [generator.day_batch(day) for day in range(3)]
-        ref = WorkloadRepository()
-        for batch in batches:
-            ref.ingest_batch(batch)
-        repo = _spill_each_day(tmp_path, batches, _parent_layout, monkeypatch)
-        loads = repo.chunk_stats()["loads"]
-        for day in range(3):
-            got, want = repo._table.chunk(day), ref._table.chunk(day)
-            assert len(got.deps) > 0
-            assert got.records() == want.records()
-            for min_size in (1, 2, 3):
-                for mine, theirs in zip(
-                    got.sig_rows(min_size), want.sig_rows(min_size)
-                ):
-                    assert np.array_equal(mine, theirs)
-                assert repo.day_sharing_summary(day, min_size) == (
-                    ref.day_sharing_summary(day, min_size)
+        repo = WorkloadRepository(memory_budget_bytes=1, spill_dir=tmp_path)
+        for day in range(2):
+            repo.ingest_batch(generator.day_batch(day))
+        assert 0 not in repo._table.chunks
+        path = tmp_path / repo._table.chunk_files[0]
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-9])
+        else:
+            # A chunk state from before the columnar layout.
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    DayChunk, "__getstate__",
+                    lambda self: {"day": 0, "job_ids": []},
                 )
-        assert repo.chunk_stats()["loads"] > loads
-        assert repo.dependency_involved() == ref.dependency_involved()
-        # A loaded chunk is columnar again, with the fresh chunk's pools.
-        got, want = repo._table.chunk(0), ref._table.chunk(0)
-        for name in DayChunk._ARRAYS:
-            mine, theirs = getattr(got, name).array(), getattr(want, name).array()
-            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
-        assert got.ids.tolist() == want.ids.tolist()
-        assert got.deps.items() == want.deps.items()
-        assert got.params.dicts == want.params.dicts
-        got_pool, want_pool = got.plans.__getstate__(), want.plans.__getstate__()
-        assert got_pool["names"] == want_pool["names"]
-        assert got_pool["objects"] == want_pool["objects"]
-        assert np.array_equal(got_pool["recipes"], want_pool["recipes"])
+                path.write_bytes(pickle.dumps(DayChunk(0), protocol=4))
+        with pytest.raises(ValueError, match=f"{path.name}: unreadable spill file"):
+            repo.by_day(0)
 
 
 def _reachable(root) -> int:

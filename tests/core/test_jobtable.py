@@ -26,7 +26,11 @@ def workload():
 
 @pytest.fixture(scope="module")
 def reference(workload):
-    return WorkloadRepository().ingest(workload)
+    """Every job ingested as its own one-row batch: the per-job path."""
+    repo = WorkloadRepository()
+    for job in workload.jobs:
+        repo.ingest_batch([job])
+    return repo
 
 
 def _batched(workload, **repo_kwargs):
@@ -79,7 +83,7 @@ class TestBatchIngest:
 
     def test_duplicate_against_per_job_ingest_rejected(self, workload):
         repo = WorkloadRepository()
-        repo.ingest_job(workload.by_day(0)[0])
+        repo.ingest_batch([workload.by_day(0)[0]])
         with pytest.raises(ValueError, match="already ingested"):
             repo.ingest_batch(list(workload.by_day(0)))
 
@@ -197,10 +201,10 @@ class TestRepositoryViews:
     def test_days_cached_and_invalidated(self, workload):
         repo = WorkloadRepository()
         for job in workload.by_day(0):
-            repo.ingest_job(job)
+            repo.ingest_batch([job])
         first = repo.days()
         assert repo.days() == [0]
-        repo.ingest_job(workload.by_day(1)[0])
+        repo.ingest_batch([workload.by_day(1)[0]])
         assert repo.days() == [0, 1]
         assert first == [0]  # caller's copy untouched
 

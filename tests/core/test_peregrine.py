@@ -32,7 +32,7 @@ class TestRepository:
 
     def test_duplicate_ingest_rejected(self, repo, world):
         with pytest.raises(ValueError, match="already"):
-            repo.ingest_job(world["workload"].jobs[0])
+            repo.ingest_batch([world["workload"].jobs[0]])
 
     def test_job_lookup(self, repo, world):
         job = world["workload"].jobs[0]

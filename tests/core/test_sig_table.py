@@ -45,13 +45,15 @@ def tiny_batch(
     """A hand-built one-plan batch with a controlled signature pool."""
     if job_ids is None:
         job_ids = [f"d{day}-j{k}" for k in range(n_jobs)]
+    plans = PlanPool()
+    plans.append(Scan(f"t{day}"))
     return JobBatch(
         day=day,
         ids=StrColumn.from_strs(job_ids),
         submit_hours=np.arange(n_jobs, dtype=np.float64),
         plan_codes=np.zeros(n_jobs, dtype=np.uint32),
         param_codes=np.zeros(n_jobs, dtype=np.uint32),
-        plans=PlanPool([Scan(f"t{day}")]),
+        plans=plans,
         template_digests=digests_of([sig(f"tmpl{day}")]),
         strict_digests=digests_of([sig(f"strict{day}")]),
         sig_codes=np.arange(len(sig_labels), dtype=np.uint32),

@@ -2,10 +2,10 @@
 
 The acceptance scenario for the control plane: a fleet of 7 services
 runs 7 simulated days; checkpointing at day 3, restoring (optionally in
-a fresh interpreter via pickle bytes), and running the remaining 4 days
-must produce the *byte-identical* final report an uninterrupted run
-produces — through both checkpoint formats (@1 full pickle, @2
-base+delta chain) and through the deprecated module-function shims.
+a fresh interpreter via the chain file), and running the remaining 4
+days must produce the *byte-identical* final report an uninterrupted run
+produces — from one base frame, from a base+delta chain, and through
+``ControlPlane.checkpoint``/``restore``.
 """
 
 import pickle
@@ -13,7 +13,6 @@ import pickle
 import pytest
 
 from repro.fabric import (
-    FORMAT_V1,
     CheckpointStore,
     ControlPlane,
     FaultInjector,
@@ -21,7 +20,6 @@ from repro.fabric import (
     RecordingDriver,
     build_fleet,
 )
-from repro.fabric.store import checkpoint_bytes_v1, restore_v1
 
 DAYS = 7
 CHECKPOINT_AT = 3
@@ -33,9 +31,10 @@ def _fleet_plane(injector=None, workers=1):
     return plane
 
 
-def _v1_round_trip(plane):
-    """In-memory @1 snapshot/restore (a fresh-interpreter stand-in)."""
-    return restore_v1(pickle.loads(checkpoint_bytes_v1(plane)))
+def _round_trip(plane, path):
+    """Save ``plane`` as a one-frame chain at ``path`` and load it back."""
+    CheckpointStore(path).save(plane)
+    return CheckpointStore.load(path)
 
 
 @pytest.fixture(scope="module")
@@ -49,14 +48,10 @@ class TestFleetCheckpointResume:
     def test_fleet_is_at_least_five_services(self):
         assert len(_fleet_plane().bindings) >= 5
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_resumed_run_is_byte_identical(
-        self, tmp_path, version, uninterrupted_report
-    ):
+    def test_resumed_run_is_byte_identical(self, tmp_path, uninterrupted_report):
         plane = _fleet_plane()
         plane.run_days(CHECKPOINT_AT)
-        CheckpointStore(tmp_path / "store", version=version).save(plane)
-        restored = CheckpointStore.load(tmp_path / "store")
+        restored = _round_trip(plane, tmp_path / "store")
         assert restored.day == CHECKPOINT_AT
         restored.run_days(DAYS - CHECKPOINT_AT)
         assert restored.report_bytes() == uninterrupted_report
@@ -102,7 +97,7 @@ class TestFleetCheckpointResume:
         restored.run_days(DAYS - CHECKPOINT_AT)
         assert restored.report_bytes() == uninterrupted_report
 
-    def test_resume_with_faults_still_deterministic(self):
+    def test_resume_with_faults_still_deterministic(self, tmp_path):
         def injector():
             inj = FaultInjector()
             inj.inject("seagull", "recommend", day=5, times=3)
@@ -114,7 +109,7 @@ class TestFleetCheckpointResume:
 
         interrupted = _fleet_plane(injector=injector())
         interrupted.run_days(CHECKPOINT_AT)
-        restored = _v1_round_trip(interrupted)
+        restored = _round_trip(interrupted, tmp_path / "store")
         restored.run_days(DAYS - CHECKPOINT_AT)
         assert restored.report_bytes() == straight.report_bytes()
         # The day-5 fault fires after the checkpoint and still degrades.
@@ -122,34 +117,25 @@ class TestFleetCheckpointResume:
 
 
 class TestCheckpointFormat:
-    def test_v1_format_tag_present(self):
-        plane = ControlPlane()
-        plane.register(RecordingDriver())
-        payload = pickle.loads(checkpoint_bytes_v1(plane))
-        assert payload["format"] == FORMAT_V1
-        assert set(payload["state"]) >= {
-            "day", "now", "registry", "lifecycle", "bindings",
-        }
-
     def test_foreign_pickle_rejected(self, tmp_path):
         payload = {"format": "something-else", "state": {}}
-        with pytest.raises(ValueError, match="not a fabric checkpoint"):
-            restore_v1(payload)
         foreign = tmp_path / "foreign.pkl"
         foreign.write_bytes(pickle.dumps(payload))
-        with pytest.raises(ValueError, match="not a fabric checkpoint"):
+        with pytest.raises(ValueError, match="foreign.pkl is not a"):
             CheckpointStore.load(foreign)
 
-    def test_obs_runtime_never_pickled(self):
+    def test_obs_runtime_never_pickled(self, tmp_path):
         from repro.obs import ObservabilityRuntime
 
         obs = ObservabilityRuntime()
         plane = ControlPlane(obs=obs)
         plane.register(RecordingDriver())
         plane.run_days(1)
-        blob = checkpoint_bytes_v1(plane)  # must not try to pickle obs
+        store = CheckpointStore(tmp_path / "store")
+        store.save(plane)  # must not try to pickle obs
         assert plane._obs is obs  # rebound after the snapshot
-        restored = restore_v1(pickle.loads(blob))
+        assert b"ObservabilityRuntime" not in store.path.read_bytes()
+        restored = CheckpointStore.load(tmp_path / "store")
         assert restored._obs is None
 
     def test_restore_rebinds_fresh_obs(self, tmp_path):
@@ -166,14 +152,13 @@ class TestCheckpointFormat:
         kinds = [e.kind for e in fresh.events.events]
         assert "restore" in kinds
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_shared_registry_identity_survives(self, tmp_path, version):
+    def test_shared_registry_identity_survives(self, tmp_path):
         # Drivers holding the shared registry must restore pointing at
-        # the same object the lifecycle owns — @1 gets this from the
-        # single pickle dump, @2 from persistent-id shared refs.
+        # the same object the lifecycle owns, through the blob preludes'
+        # shared refs.
         plane = _fleet_plane()
         plane.run_days(2)
-        CheckpointStore(tmp_path / "store", version=version).save(plane)
+        CheckpointStore(tmp_path / "store").save(plane)
         restored = CheckpointStore.load(tmp_path / "store")
         feedback = next(
             b.driver for b in restored.bindings if b.name == "feedback"

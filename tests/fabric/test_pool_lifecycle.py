@@ -7,14 +7,12 @@ re-arm the pool transparently and still report byte-identically.
 """
 
 import os
-import pickle
 from dataclasses import dataclass, field
 
 import pytest
 
-from repro.fabric import ControlPlane
+from repro.fabric import CheckpointStore, ControlPlane
 from repro.fabric.pipeline import PipelineDriver, TickContext
-from repro.fabric.store import checkpoint_bytes_v1, restore_v1
 from repro.parallel import FORCE_ENV, pmap, shutdown_pool
 
 
@@ -90,29 +88,30 @@ class TestPoolOwnership:
 
 
 class TestCheckpointExclusion:
-    def test_checkpoint_bytes_never_mention_the_pool(self, force_pools):
+    def test_checkpoint_bytes_never_mention_the_pool(self, force_pools, tmp_path):
         plane = ControlPlane()
         plane.register(PoolDriver())
         plane.run_days(1)
-        blob = checkpoint_bytes_v1(plane)  # would fail pickling an executor
-        assert b"WorkerPool" not in blob
+        store = CheckpointStore(tmp_path / "store")
+        store.save(plane)  # would fail pickling an executor
+        assert b"WorkerPool" not in store.path.read_bytes()
         plane.close()
 
-    def test_restore_rearms_the_pool_lazily(self, force_pools):
+    def test_restore_rearms_the_pool_lazily(self, force_pools, tmp_path):
         plane = ControlPlane()
         plane.register(PoolDriver())
         plane.run_days(1)
-        blob = checkpoint_bytes_v1(plane)
+        CheckpointStore(tmp_path / "store").save(plane)
         plane.close()  # interrupted: workers are gone
 
-        restored = restore_v1(pickle.loads(blob))
+        restored = CheckpointStore.load(tmp_path / "store")
         assert restored.pool is plane.pool  # same shared handle...
         assert not restored.pool.started  # ...cold after the interrupt
         restored.run_days(1)  # first dispatch re-arms it
         assert restored.pool.started
         restored.close()
 
-    def test_resumed_run_reports_byte_identical(self, force_pools):
+    def test_resumed_run_reports_byte_identical(self, force_pools, tmp_path):
         straight = ControlPlane()
         straight.register(PoolDriver())
         straight.run_days(3)
@@ -122,9 +121,9 @@ class TestCheckpointExclusion:
         interrupted = ControlPlane()
         interrupted.register(PoolDriver())
         interrupted.run_days(1)
-        blob = checkpoint_bytes_v1(interrupted)
+        CheckpointStore(tmp_path / "store").save(interrupted)
         interrupted.close()
-        restored = restore_v1(pickle.loads(blob))
+        restored = CheckpointStore.load(tmp_path / "store")
         restored.run_days(2)
         assert restored.report_bytes() == expected
         restored.close()

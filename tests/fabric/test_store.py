@@ -5,7 +5,7 @@ frames, shared references through each blob's prelude (frozen attrs,
 the registry), append-only tails, chain compaction — plus the durable
 schedule rows: a plane killed mid-backoff must resume at the pending
 attempt (never attempt one), and a paused service must stay paused
-across a restore.
+across a restore.  Any file that is not a chain is refused, naming it.
 """
 
 import json
@@ -364,12 +364,46 @@ class TestUnreadableChain:
 
     def test_v2_store_refuses_a_v1_file(self, tmp_path):
         path = tmp_path / "legacy.ckpt"
-        CheckpointStore(path, version=1).save(self._plane())
+        path.write_bytes(pickle.dumps({"format": "repro.fabric/checkpoint@1"}))
         before = path.read_bytes()
         with pytest.raises(ValueError, match="legacy.ckpt"):
             CheckpointStore(path).save(self._plane())
         assert path.read_bytes() == before
-        assert CheckpointStore.load(path).day == 1
+        with pytest.raises(ValueError, match="legacy.ckpt"):
+            CheckpointStore.load(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda chain: b"not a pickle at all", id="garbage"),
+            pytest.param(lambda chain: b"", id="empty"),
+            pytest.param(
+                lambda chain: pickle.dumps({"format": "something-else"}),
+                id="foreign",
+            ),
+            pytest.param(
+                lambda chain: pickle.dumps(
+                    {"format": "repro.fabric/checkpoint@1", "state": {}}
+                ),
+                id="v1",
+            ),
+            # The last frame, cut short.
+            pytest.param(lambda chain: chain[:-7], id="truncated"),
+            # A frame torn right after its protocol header: unpickling
+            # runs out of input exactly as it does at a clean end.
+            pytest.param(lambda chain: chain + b"\x80\x04", id="torn_header"),
+        ],
+    )
+    def test_load_names_every_unreadable_file(self, tmp_path, damage):
+        store = CheckpointStore(tmp_path / "chain.ckpt")
+        plane = self._plane()
+        store.save(plane)
+        plane.run_days(1)
+        store.save(plane)
+        path = tmp_path / "broken.ckpt"
+        path.write_bytes(damage(store.path.read_bytes()))
+        with pytest.raises(ValueError, match="broken.ckpt"):
+            CheckpointStore.load(path)
 
     def test_torn_chain_is_not_replaced(self, tmp_path):
         plane = self._plane()
@@ -666,24 +700,6 @@ class TestDurableSchedule:
 
 
 class TestFormatNegotiation:
-    def test_v1_store_writes_legacy_format(self, tmp_path):
-        import pickle
-
-        plane = ControlPlane()
-        plane.register(RecordingDriver())
-        plane.run_days(2)
-        store = CheckpointStore(tmp_path / "legacy.ckpt", version=1)
-        result = store.save(plane)
-        assert result.kind == "full"
-        payload = pickle.loads((tmp_path / "legacy.ckpt").read_bytes())
-        assert payload["format"] == "repro.fabric/checkpoint@1"
-        restored = CheckpointStore.load(tmp_path / "legacy.ckpt")
-        assert restored.day == 2
-
-    def test_unknown_version_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown checkpoint version"):
-            CheckpointStore(tmp_path / "store", version=3)
-
     def test_delta_requires_a_base(self, tmp_path):
         plane = ControlPlane()
         plane.register(RecordingDriver())
@@ -691,73 +707,3 @@ class TestFormatNegotiation:
         store = CheckpointStore(tmp_path / "store")
         with pytest.raises(ValueError, match="no base snapshot"):
             store.delta(plane)
-
-
-class TestFormatMigration:
-    """A legacy @1 pickle upgrades to a @2 chain without behaviour drift."""
-
-    FLEET = ("moneyball", "doppler")
-
-    def _fleet(self, days: int) -> ControlPlane:
-        from repro.fabric import FleetConfig, build_fleet
-
-        plane = ControlPlane()
-        build_fleet(plane, FleetConfig(seed=0, days=days, include=self.FLEET))
-        return plane
-
-    def test_v1_resume_saved_as_v2_chain_is_byte_identical(self, tmp_path):
-        # The uninterrupted twin: seed-0 fleet straight through 4 days.
-        straight = self._fleet(4)
-        straight.run_days(4)
-        expected = straight.report_bytes()
-        straight.close()
-
-        # Day-2 state captured in the legacy single-pickle format.
-        fabric = self._fleet(4)
-        fabric.run_days(2)
-        CheckpointStore(tmp_path / "legacy.ckpt", version=1).save(fabric)
-        fabric.close()
-
-        # Migrate: load the @1 pickle, resume, checkpoint as a @2 chain.
-        resumed = CheckpointStore.load(tmp_path / "legacy.ckpt")
-        chain = CheckpointStore(tmp_path / "migrated")
-        resumed.run_days(1)
-        chain.save(resumed)
-        resumed.run_days(1)
-        chain.save(resumed)
-        assert [f["kind"] for f in chain.frames()] == ["base", "delta"]
-        assert resumed.report_bytes() == expected
-        resumed.close()
-
-        # The migrated chain restores to the same byte-identical report.
-        restored = CheckpointStore.load(tmp_path / "migrated")
-        assert restored.report_bytes() == expected
-        restored.close()
-
-    def test_older_health_drops_its_stage_outcomes(self, tmp_path):
-        # Checkpoints from before the counters stood alone pickled every
-        # StageOutcome into FabricHealth; a restore stops carrying them.
-        from repro.fabric.pipeline import StageOutcome
-        from repro.fabric.plane import FabricHealth
-
-        health = FabricHealth()
-        health.record(StageOutcome("svc", "observe", 0, 1, "ok"))
-        health.__dict__["outcomes"] = [StageOutcome("svc", "observe", 0, 1, "ok")]
-        restored = pickle.loads(pickle.dumps(health))
-        assert "outcomes" not in restored.__dict__
-        assert restored.counters == health.counters
-
-    def test_pre_tuner_core_state_still_restores(self, tmp_path):
-        # Checkpoints written before the tuner rode along lack the
-        # "tuner" core key; load must tolerate its absence.
-        import pickle
-
-        plane = ControlPlane()
-        plane.register(RecordingDriver())
-        plane.run_days(1)
-        store = CheckpointStore(tmp_path / "legacy.ckpt", version=1)
-        store.save(plane)
-        payload = pickle.loads((tmp_path / "legacy.ckpt").read_bytes())
-        assert "tuner" not in payload["state"]  # @1 stays bit-compatible
-        restored = CheckpointStore.load(tmp_path / "legacy.ckpt")
-        assert restored.day == 1

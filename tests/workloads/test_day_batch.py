@@ -137,7 +137,7 @@ class TestFusedDayBatch:
         for day in range(2):
             fused_repo.ingest_batch(fused_gen.day_batch(day))
             for job in record_gen.day_jobs(day):
-                record_repo.ingest_job(job)
+                record_repo.ingest_batch([job])
         assert len(fused_repo) == len(record_repo)
         assert fused_repo.days() == record_repo.days()
         for day in range(2):
@@ -145,6 +145,23 @@ class TestFusedDayBatch:
                 fused_repo.day_sharing_summary(day)
                 == record_repo.day_sharing_summary(day)
             )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("jobs_per_day", [1, 8, 20, 45])
+def test_head_equals_from_jobs_over_the_first_jobs(jobs_per_day, seed):
+    """A world smaller than the minimum day keeps the day's head; every
+    pool is numbered by first appearance, so the head is prefix slices."""
+    config = ScopeWorkloadConfig.for_scale(jobs_per_day)
+    fused = ScopeWorkloadGenerator(rng=seed, config=config)
+    objects = ScopeWorkloadGenerator(rng=seed, config=config)
+    for day in range(3):
+        full = fused.day_batch(day)
+        assert len(full) > jobs_per_day
+        head = full.head(jobs_per_day)
+        assert len(head) == jobs_per_day
+        ref = JobBatch.from_jobs(objects.day_jobs(day)[:jobs_per_day])
+        assert_batches_identical(head, ref)
 
 
 def _rebuilt(node: Expression) -> Expression:

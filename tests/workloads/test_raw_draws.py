@@ -205,10 +205,16 @@ def reference_jobs(
 
 
 def decoded_jobs(draws, layout: _AdhocLayout) -> list[tuple]:
+    tables, columns = layout.tables, layout.columns
     return [
-        (*recipe, hour, producer)
-        for recipe, hour, producer in zip(
-            draws.recipes(layout), draws.hour.tolist(), draws.producer.tolist()
+        (
+            tables[t].name, columns[c].name, value,
+            tables[j].name if j >= 0 else None, aggregate, hour, producer,
+        )
+        for t, c, value, j, aggregate, hour, producer in zip(
+            draws.table.tolist(), draws.column.tolist(), draws.value.tolist(),
+            draws.join.tolist(), draws.aggregate.tolist(),
+            draws.hour.tolist(), draws.producer.tolist(),
         )
     ]
 
@@ -229,7 +235,7 @@ def layouts(draw):
     counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
     base = [_table(f"t{i}", n) for i, n in enumerate(counts)]
     producers = [
-        (_table(f"out_t{i}", n), f"t{i:03d}", hour)
+        (_table(f"out_t{i}", n), hour)
         for i, (n, hour) in enumerate(draw(st.lists(
             st.tuples(st.integers(0, 3), st.floats(0.0, 23.0)), max_size=3,
         )))

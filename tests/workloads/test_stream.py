@@ -50,9 +50,9 @@ class TestDayAddressing:
         for day in (4, 0, 2, 4, 1):
             assert gen.day_jobs(day) == list(eager.by_day(day))
 
-    def test_iter_jobs_yields_submit_sorted_jobs(self):
+    def test_day_jobs_are_submit_sorted(self):
         gen = ScopeWorkloadGenerator(rng=0)
-        hours = [job.submit_hour for job in gen.iter_jobs(2)]
+        hours = [job.submit_hour for job in gen.day_jobs(2)]
         assert hours == sorted(hours)
         assert all(48.0 <= h < 72.0 for h in hours)
 
